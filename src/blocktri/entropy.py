@@ -78,15 +78,18 @@ class SeedScheme:
 
 
 def sample_atoms(law: AtomLaw, stream: np.random.Generator, size, ell: int | None = None) -> np.ndarray:
-    """Draw i.i.d. atoms of the given law; always returned as complex128."""
+    """Draw i.i.d. atoms of the given law.
+
+    complex128 for ``complex-gaussian``, float64 for the three real kinds.
+    """
     if law.kind == "real-gaussian":
-        return stream.standard_normal(size).astype(np.complex128)
+        return stream.standard_normal(size)
     if law.kind == "complex-gaussian":
         re = stream.standard_normal(size)
         im = stream.standard_normal(size)
         return (re + 1j * im) / _SQRT2
     if law.kind == "real-uniform":
-        return stream.uniform(-_SQRT3, _SQRT3, size).astype(np.complex128)
+        return stream.uniform(-_SQRT3, _SQRT3, size)
     # smoothed-rademacher
     if ell is None:
         raise ValueError("smoothed-rademacher sampling needs the block size ell")
@@ -94,7 +97,7 @@ def sample_atoms(law: AtomLaw, stream: np.random.Generator, size, ell: int | Non
     s = np.sqrt(max(0.0, 1.0 - t * t))
     signs = 2.0 * stream.integers(0, 2, size) - 1.0
     g = stream.standard_normal(size)
-    return (s * signs + t * g).astype(np.complex128)
+    return s * signs + t * g
 
 
 def sample_atom(law: AtomLaw, stream: np.random.Generator, ell: int | None = None) -> complex:
@@ -103,7 +106,10 @@ def sample_atom(law: AtomLaw, stream: np.random.Generator, ell: int | None = Non
 
 
 def fill_block(ell: int, law: AtomLaw, stream: np.random.Generator) -> np.ndarray:
-    """ell-by-ell block with i.i.d. entries of law scaled by (3*ell)**(-1/2)."""
+    """ell-by-ell block with i.i.d. entries of law scaled by (3*ell)**(-1/2).
+
+    The dtype is that of `sample_atoms`: float64 for a real law.
+    """
     if ell < 1:
         raise ValueError("block size must be positive")
     return sample_atoms(law, stream, (ell, ell), ell=ell) / np.sqrt(3.0 * ell)

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .entropy import ATOM_KINDS, AtomLaw, SeedScheme, fill_block
-from .numerics import SizeCapError, inv_sqrt_hermitian, svd_values, unitary_complement
+from .numerics import SizeCapError, inv_sqrt_hermitian, lu_logdet, svd_values, unitary_complement
 
 DEFAULT_DENSE_CAP = 8192
 FRAME_DET_TOL = 1e-10
@@ -44,6 +45,16 @@ class BlockTridiagonal:
     @property
     def size(self) -> int:
         return self.n * self.ell
+
+    @cached_property
+    def upper_factors(self) -> tuple:
+        """`lu_logdet` of each super-diagonal block, computed on first use.
+
+        Neither log|det B_k| nor the LU factors of B_k depend on the shift, so
+        every transfer evaluation of this ensemble shares one factorization per
+        block. The blocks must not be changed in place after that.
+        """
+        return tuple(lu_logdet(b) for b in self.upper)
 
 
 @dataclass(frozen=True)
@@ -156,29 +167,42 @@ def _check_cap(size: int, max_dense: int):
         raise SizeCapError(f"dense size {size} exceeds cap {max_dense}")
 
 
+def _dense_zeros(size: int, z: complex, *blocks) -> np.ndarray:
+    """Zero matrix of float64 when z and every block are real, complex128 otherwise."""
+    real = z.imag == 0 and not any(np.iscomplexobj(b) for b in blocks)
+    return np.zeros((size, size), dtype=np.float64 if real else np.complex128)
+
+
+def _subtract_diagonal(out: np.ndarray, z: complex):
+    i = np.arange(out.shape[0])
+    out[i, i] -= z if np.iscomplexobj(out) else z.real
+
+
 def to_dense(ensemble, z: complex, max_dense: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     """Dense realization of the shifted matrix.
 
     Plain and periodic ensembles subtract z on the whole diagonal; the
-    bordered ensemble subtracts z only on the middle n block rows.
+    bordered ensemble subtracts z only on the middle n block rows. A plain or
+    periodic matrix is float64 when z and every block are real, and complex128
+    otherwise; the bordered matrix, whose frame rows are complex, is complex128.
     """
     z = complex(z)
     if isinstance(ensemble, BlockTridiagonal):
         m = ensemble
         _check_cap(m.size, max_dense)
-        out = np.zeros((m.size, m.size), dtype=np.complex128)
+        out = _dense_zeros(m.size, z, *m.diag, *m.upper, *m.lower)
         _place_plain(out, m, offset=0)
-        out -= z * np.eye(m.size)
+        _subtract_diagonal(out, z)
         return out
     if isinstance(ensemble, PeriodicEnsemble):
         m = ensemble.inner
         _check_cap(m.size, max_dense)
-        out = np.zeros((m.size, m.size), dtype=np.complex128)
+        out = _dense_zeros(m.size, z, *m.diag, *m.upper, *m.lower, ensemble.corner_top, ensemble.corner_bottom)
         _place_plain(out, m, offset=0)
         l = m.ell
         out[0:l, (m.n - 1) * l : m.n * l] = ensemble.corner_top
         out[(m.n - 1) * l : m.n * l, 0:l] = ensemble.corner_bottom
-        out -= z * np.eye(m.size)
+        _subtract_diagonal(out, z)
         return out
     if isinstance(ensemble, BorderedEnsemble):
         m = ensemble.inner
@@ -219,7 +243,11 @@ def operator_norm_check(ensemble) -> bool:
 
 
 def dump_ensemble(ensemble: BlockTridiagonal, path) -> None:
-    """Binary dump: header plus blocks as little-endian complex128, row-major."""
+    """Binary dump: header plus blocks as little-endian complex128, row-major.
+
+    Blocks of a real law are written with zero imaginary parts; `load_ensemble`
+    reads them back as float64.
+    """
     m = ensemble
     header = _MAGIC + struct.pack(
         "<IQQIdQQ",
@@ -254,12 +282,13 @@ def load_ensemble(path) -> BlockTridiagonal:
     expected = 3 * n * block_bytes
     if len(body) != expected:
         raise ValueError("ensemble file body has wrong length")
-    blocks = [
-        np.frombuffer(body[i * block_bytes : (i + 1) * block_bytes], dtype="<c16")
-        .reshape(ell, ell)
-        .astype(np.complex128)
-        for i in range(3 * n)
-    ]
+    data = np.frombuffer(body, dtype="<c16").reshape(3 * n, ell, ell)
+    if law.is_complex:
+        blocks = [b.astype(np.complex128) for b in data]
+    else:
+        if np.any(data.imag != 0):
+            raise ValueError("real-law ensemble file has a nonzero imaginary part")
+        blocks = [b.astype(np.float64) for b in data.real]
     return BlockTridiagonal(
         int(n),
         int(ell),

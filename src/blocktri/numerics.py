@@ -1,15 +1,18 @@
-"""Dense complex kernels with pinned contracts.
+"""Dense kernels with pinned contracts.
 
 All determinant work happens in log space: the product scales reached by the
 transfer recursion underflow double precision long before the individual
 factors do. A pivot magnitude below ``PIVOT_FLOOR`` is what "singular" means
 throughout the package.
+
+Real input stays real: a float64 matrix goes to the real LAPACK routines
+(``dgetrf``, ``dgeev``, ``dgesdd``, ...), anything complex to the complex ones.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -38,16 +41,33 @@ class EigenConvergenceError(NumericsError):
     pass
 
 
+def _as_array(m) -> np.ndarray:
+    """float64 when the entries are real, complex128 otherwise."""
+    a = np.asarray(m)
+    return a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
+
+
 @dataclass(frozen=True)
 class LogDetResult:
-    """Natural log of |det| plus an optional unit-modulus phase."""
+    """Natural log of |det| plus an optional unit-modulus phase.
+
+    `lu_logdet` also keeps the LU factors it computed, so `solve` can reuse
+    them for systems with the same matrix.
+    """
 
     log_magnitude: float
     sign_phase: complex | None = None
+    factors: tuple | None = field(default=None, repr=False, compare=False)
+
+    def solve(self, rhs) -> np.ndarray:
+        """Solve M X = RHS with the kept LU factors of M."""
+        if self.factors is None:
+            raise ValueError("no LU factors kept")
+        return lu_solve(self.factors, _as_array(rhs), check_finite=False)
 
 
 def _as_square(m) -> np.ndarray:
-    a = np.asarray(m, dtype=np.complex128)
+    a = _as_array(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
     return a
@@ -74,13 +94,13 @@ def lu_logdet(m) -> LogDetResult:
     log_magnitude = float(np.sum(np.log(mags)))
     swaps = int(np.count_nonzero(piv != np.arange(len(piv))))
     phase = complex(np.prod(d / mags)) * (-1.0) ** swaps
-    return LogDetResult(log_magnitude, phase)
+    return LogDetResult(log_magnitude, phase, (lu, piv))
 
 
 def solve_lu(b, rhs) -> np.ndarray:
     """Solve B X = RHS through one LU factorization of B."""
     a = _as_square(b)
-    r = np.asarray(rhs, dtype=np.complex128)
+    r = _as_array(rhs)
     lu, piv = _checked_lu(a)
     return lu_solve((lu, piv), r, check_finite=False)
 
@@ -91,7 +111,7 @@ def qr_thin(m) -> tuple[np.ndarray, np.ndarray]:
     The phase convention removes the unitary ambiguity so repeated frame
     trajectories are bit-reproducible.
     """
-    a = np.asarray(m, dtype=np.complex128)
+    a = _as_array(m)
     if a.ndim != 2:
         raise ValueError("expected a matrix")
     q, r = np.linalg.qr(a, mode="reduced")
@@ -109,19 +129,22 @@ def qr_thin(m) -> tuple[np.ndarray, np.ndarray]:
 
 def svd_values(m) -> np.ndarray:
     """Singular values in descending order."""
-    a = np.asarray(m, dtype=np.complex128)
-    return np.linalg.svd(a, compute_uv=False)
+    return np.linalg.svd(_as_array(m), compute_uv=False)
 
 
 def eigvals(m, cap: int = EIGVALS_CAP) -> np.ndarray:
-    """Eigenvalue multiset of a square matrix, dense solve, size-capped."""
+    """Eigenvalue multiset of a square matrix, dense solve, size-capped.
+
+    Always complex128, also for a real matrix whose eigenvalues are all real.
+    """
     a = _as_square(m)
     if a.shape[0] > cap:
         raise SizeCapError(f"matrix size {a.shape[0]} exceeds eigvals cap {cap}")
     try:
-        return np.linalg.eigvals(a)
+        ev = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from exc
+    return ev.astype(np.complex128, copy=False)
 
 
 def unitary_complement(q_minus) -> np.ndarray:

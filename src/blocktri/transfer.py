@@ -64,10 +64,6 @@ def dense_transfer_matrix(diag_block, upper_block, lower_block, z: complex) -> n
     return np.vstack([top, bottom])
 
 
-def _blocks(model: BlockTridiagonal):
-    return zip(model.diag, model.upper, model.lower)
-
-
 def _propagate(model: BlockTridiagonal, z: complex, entry_frame, renorm_every: int = 1):
     """Run the frame through all rows; returns (final frame, increments, start log)."""
     if renorm_every < 1:
@@ -78,10 +74,10 @@ def _propagate(model: BlockTridiagonal, z: complex, entry_frame, renorm_every: i
     frame = q
     increments = []
     eye = np.eye(ell)
-    for k, (a, b, c) in enumerate(_blocks(model)):
+    for k, (a, b, c) in enumerate(zip(model.diag, model.upper_factors, model.lower)):
         u, v = frame[:ell], frame[ell:]
         w = (a - z * eye) @ u + c @ v
-        x = solve_lu(b, -w)
+        x = b.solve(-w)
         frame = np.vstack([x, u])
         if (k + 1) % renorm_every == 0 or k == model.n - 1:
             frame, r = qr_thin(frame)
@@ -137,12 +133,13 @@ def logdet_via_transfer(model, z: complex, exit_frame=None, entry_frame=None, re
     For a plain ensemble with identity frames this equals log|det(T - zI)|;
     for a bordered ensemble it equals log|det| of the bordered matrix under
     its middle-rows shift convention. The super-diagonal bookkeeping term
-    enters with a positive sign and cancels the inverses inside the product.
+    enters with a positive sign and cancels the inverses inside the product;
+    it comes from the same LU factors of B_k as the recursion's solves.
     """
     inner, pi, xi = _resolve_frames(model, z, exit_frame, entry_frame)
     log_b = 0.0
-    for b in inner.upper:
-        log_b += lu_logdet(b).log_magnitude
+    for b in inner.upper_factors:
+        log_b += b.log_magnitude
     growth = projected_growth_log(inner, z, pi, xi, renorm_every)
     return log_b + growth
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -167,15 +169,25 @@ def test_operator_norm_check():
 
 
 def test_dump_load_roundtrip(tmp_path):
-    m = sample_tridiagonal(3, 4, AtomLaw("smoothed-rademacher", 0.5), -17, trial=2)
+    for law, dtype in ((AtomLaw("smoothed-rademacher", 0.5), np.float64), (LAW, np.complex128)):
+        m = sample_tridiagonal(3, 4, law, -17, trial=2)
+        path = tmp_path / "ensemble.bin"
+        dump_ensemble(m, path)
+        back = load_ensemble(path)
+        assert back.n == m.n and back.ell == m.ell
+        assert back.law == m.law
+        assert back.master_seed == m.master_seed and back.trial == m.trial
+        for a, b in zip(m.diag + m.upper + m.lower, back.diag + back.upper + back.lower):
+            assert a.dtype == b.dtype == dtype
+            assert np.array_equal(a, b)
+
+
+def test_load_rejects_imaginary_part_for_real_law(tmp_path):
+    m = sample_tridiagonal(2, 2, LAW, 3)
     path = tmp_path / "ensemble.bin"
-    dump_ensemble(m, path)
-    back = load_ensemble(path)
-    assert back.n == m.n and back.ell == m.ell
-    assert back.law == m.law
-    assert back.master_seed == m.master_seed and back.trial == m.trial
-    for a, b in zip(m.diag + m.upper + m.lower, back.diag + back.upper + back.lower):
-        assert np.array_equal(a, b)
+    dump_ensemble(replace(m, law=AtomLaw("real-gaussian")), path)
+    with pytest.raises(ValueError, match="imaginary"):
+        load_ensemble(path)
 
 
 def test_dump_load_rejects_garbage(tmp_path):

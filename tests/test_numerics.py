@@ -74,6 +74,15 @@ def test_solve_lu_trivial_and_residual():
         solve_lu(np.zeros((3, 3)), np.ones(3))
 
 
+def test_lu_logdet_factors_solve_like_solve_lu():
+    rng = np.random.default_rng(2)
+    for b in (_crandn(rng, 6, 6), rng.standard_normal((6, 6))):
+        rhs = _crandn(rng, 6, 2)
+        assert np.array_equal(lu_logdet(b).solve(rhs), solve_lu(b, rhs))
+    with pytest.raises(ValueError):
+        lu_logdet(np.zeros((0, 0))).solve(np.zeros(0))
+
+
 def test_qr_thin_contracts():
     rng = np.random.default_rng(2)
     q0, _ = np.linalg.qr(_crandn(rng, 8, 4))
@@ -130,6 +139,13 @@ def test_eigvals_contracts():
     assert abs(np.sum(np.log(np.abs(ev))) - ld) <= 1e-4 * max(1.0, abs(ld))
     with pytest.raises(SizeCapError):
         eigvals(np.eye(EIGVALS_CAP + 1))
+
+
+def test_eigvals_complex_for_real_spectrum():
+    for m in (np.diag([3.0, -1.0, 0.5]), np.array([[2.0]])):
+        ev = eigvals(m)
+        assert ev.dtype == np.complex128
+        assert np.array_equal(np.sort(ev.real), np.sort(np.diag(m))) and np.all(ev.imag == 0)
 
 
 def test_unitary_complement():

@@ -1,0 +1,111 @@
+"""Real entry laws stay real from the draw to the dense kernels.
+
+The dtype follows the data: float64 blocks for the three real laws, a float64
+dense realization when the shift is real too, and the real LAPACK routines
+underneath. These properties pin the dtypes and check every real result
+against the same computation on the matrix cast to complex128.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from blocktri.entropy import ATOM_KINDS, AtomLaw, SeedScheme, fill_block, sample_atoms
+from blocktri.model import (
+    BlockTridiagonal,
+    PeriodicEnsemble,
+    build_bordered,
+    random_entry_frame,
+    random_exit_frame,
+    sample_periodic,
+    sample_tridiagonal,
+    to_dense,
+)
+from blocktri.numerics import lu_logdet, svd_values
+from blocktri.spectra import esd
+from blocktri.transfer import logdet_via_transfer
+
+REAL_KINDS = tuple(k for k in ATOM_KINDS if not AtomLaw(k).is_complex)
+SHIFTS = (0.0, 2.0, -0.7, 0.5 + 0.5j, 1j)
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+kinds = st.sampled_from(ATOM_KINDS)
+real_kinds = st.sampled_from(REAL_KINDS)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _rel_close(a, b, tol):
+    return abs(a - b) <= tol * max(1.0, abs(b))
+
+
+def _as_complex(m: BlockTridiagonal) -> BlockTridiagonal:
+    diag, upper, lower = (tuple(b.astype(np.complex128) for b in g) for g in (m.diag, m.upper, m.lower))
+    return replace(m, diag=diag, upper=upper, lower=lower)
+
+
+@PROPERTY
+@given(kind=kinds, n=st.integers(3, 5), ell=st.integers(1, 4), seed=seeds, z=st.sampled_from(SHIFTS))
+def test_block_and_dense_dtypes_follow_law_and_shift(kind, n, ell, seed, z):
+    law = AtomLaw(kind)
+    block_dtype = np.complex128 if law.is_complex else np.float64
+    dense_dtype = np.float64 if not law.is_complex and complex(z).imag == 0 else np.complex128
+
+    stream = SeedScheme(seed).stream(0, 0, "atoms")
+    assert sample_atoms(law, stream, (2, 3), ell=ell).dtype == block_dtype
+    assert fill_block(ell, law, stream).dtype == block_dtype
+
+    plain = sample_tridiagonal(n, ell, law, seed)
+    periodic = sample_periodic(n, ell, law, seed)
+    blocks = plain.diag + plain.upper + plain.lower + (periodic.corner_top, periodic.corner_bottom)
+    assert all(b.dtype == block_dtype for b in blocks)
+
+    rng = SeedScheme(seed).stream(0, 0, "frames")
+    bordered = build_bordered(plain, random_exit_frame(ell, rng), random_entry_frame(ell, rng))
+    assert to_dense(bordered, z).dtype == np.complex128
+
+    # Same entries as the realization of the complex-cast blocks.
+    complex_plain = _as_complex(plain)
+    complex_periodic = PeriodicEnsemble(
+        complex_plain, periodic.corner_top.astype(np.complex128), periodic.corner_bottom.astype(np.complex128)
+    )
+    for ens, reference in ((plain, complex_plain), (periodic, complex_periodic)):
+        dense = to_dense(ens, z)
+        assert dense.dtype == dense_dtype
+        assert np.array_equal(dense, to_dense(reference, z))
+
+
+@PROPERTY
+@given(kind=real_kinds, n=st.integers(1, 6), ell=st.integers(1, 5), seed=seeds, z=st.sampled_from((0.0, 0.3, 2.0)))
+def test_real_kernels_agree_with_complex_cast(kind, n, ell, seed, z):
+    m = sample_tridiagonal(n, ell, AtomLaw(kind), seed)
+    dense = to_dense(m, z)
+    assert dense.dtype == np.float64
+    cast = dense.astype(np.complex128)
+
+    real_ld, complex_ld = lu_logdet(dense), lu_logdet(cast)
+    assert _rel_close(real_ld.log_magnitude, complex_ld.log_magnitude, 1e-10)
+    assert abs(real_ld.sign_phase - complex_ld.sign_phase) <= 1e-10
+
+    s_real, s_complex = svd_values(dense), svd_values(cast)
+    assert s_real.dtype == np.float64
+    assert np.max(np.abs(s_real - s_complex)) <= 1e-10 * s_complex[0]
+
+    real_esd, complex_esd = esd(m), esd(_as_complex(m))
+    assert real_esd.eigenvalues.dtype == np.complex128
+    assert abs(real_esd.fraction_in_unit_disk - complex_esd.fraction_in_unit_disk) <= 1e-10
+    assert _rel_close(real_esd.radial_cdf_distance, complex_esd.radial_cdf_distance, 1e-10)
+
+
+@PROPERTY
+@given(kind=real_kinds, n=st.integers(1, 6), ell=st.integers(1, 5), seed=seeds)
+@example(kind="real-gaussian", n=1, ell=1, seed=0)
+@example(kind="real-uniform", n=2, ell=1, seed=1)
+@example(kind="smoothed-rademacher", n=1, ell=3, seed=2)
+@example(kind="smoothed-rademacher", n=2, ell=2, seed=3)
+def test_transfer_on_real_blocks_matches_dense(kind, n, ell, seed):
+    m = sample_tridiagonal(n, ell, AtomLaw(kind), seed)
+    assert m.upper[0].dtype == np.float64
+    for z in (0.0, 0.5 + 0.5j, 2.0):
+        assert _rel_close(logdet_via_transfer(m, z), lu_logdet(to_dense(m, z)).log_magnitude, 1e-8)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blocktri import model
 from blocktri.entropy import AtomLaw, SeedScheme
 from blocktri.model import (
     build_bordered,
@@ -104,6 +105,21 @@ def test_cocycle_trace_total_matches_increment_sum():
     trace = cocycle_trace(m, 0.5)
     assert len(trace.increments) == 6
     assert abs(trace.total - sum(trace.increments)) < 1e-9
+
+
+def test_one_factorization_per_super_diagonal_block(monkeypatch):
+    calls = []
+
+    def counting(b):
+        calls.append(b)
+        return lu_logdet(b)
+
+    monkeypatch.setattr(model, "lu_logdet", counting)
+    m = sample_tridiagonal(5, 3, LAW, 8)
+    for z in (0.0, 0.5 + 0.5j, 2.0):
+        assert _rel_close(logdet_via_transfer(m, z), lu_logdet(to_dense(m, z)).log_magnitude, 1e-8)
+    projected_growth_log(m, 0.3)
+    assert len(calls) == m.n
 
 
 def test_logdet_scalar_case():
