@@ -85,9 +85,15 @@ def sample_atoms(law: AtomLaw, stream: np.random.Generator, size, ell: int | Non
     if law.kind == "real-gaussian":
         return stream.standard_normal(size)
     if law.kind == "complex-gaussian":
-        re = stream.standard_normal(size)
-        im = stream.standard_normal(size)
-        return (re + 1j * im) / _SQRT2
+        # One draw of the real parts followed by the imaginary parts: the same
+        # stream positions as two separate draws, without the temporaries.
+        shape = (size,) if np.isscalar(size) else tuple(size)
+        parts = stream.standard_normal((2, *shape))
+        out = np.empty(shape, dtype=np.complex128)
+        out.real = parts[0]
+        out.imag = parts[1]
+        out /= _SQRT2
+        return out
     if law.kind == "real-uniform":
         return stream.uniform(-_SQRT3, _SQRT3, size)
     # smoothed-rademacher

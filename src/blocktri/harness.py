@@ -22,6 +22,7 @@ from .entropy import ATOM_KINDS, AtomLaw, SeedScheme, sample_atoms
 from .mde import MdeConvergenceError, solve_mc
 from .model import (
     DEFAULT_DENSE_CAP,
+    LazyTridiagonal,
     build_bordered,
     random_entry_frame,
     random_exit_frame,
@@ -179,7 +180,7 @@ def _run_trial(config: ExperimentConfig, trial: int) -> dict:
         rel = abs(via_transfer - dense) / max(1.0, abs(dense))
         return {"transfer_logdet": via_transfer, "dense_logdet": dense, "rel_error": rel}
     if exp == "logdet-limit":
-        model = sample_tridiagonal(config.n, config.ell, law, scheme, trial)
+        model = LazyTridiagonal(config.n, config.ell, law, config.master_seed, trial)
         return {"normalized_logdet": logdet_via_transfer(model, config.z) / model.size}
     if exp == "esd":
         model = sample_tridiagonal(config.n, config.ell, law, scheme, trial)
@@ -205,7 +206,7 @@ def _run_trial(config: ExperimentConfig, trial: int) -> dict:
         bulk = solve_mc(config.xi, config.z)
         return {"mhat_re": mhat.real, "mhat_im": mhat.imag, "deviation": abs(mhat - bulk)}
     if exp == "concentration":
-        model = sample_tridiagonal(config.n, config.ell, law, scheme, trial)
+        model = LazyTridiagonal(config.n, config.ell, law, config.master_seed, trial)
         return {"normalized_projected_growth": projected_growth_log(model, config.z) / model.size}
     if exp == "ginibre":
         a = sample_atoms(law, scheme.stream(trial, 0, "square-iid"), (config.n, config.n), ell=config.n)

@@ -4,6 +4,11 @@ The plain ensemble stores a full triple of blocks per block row. The dense
 plain realization ignores the first sub-diagonal block and the last
 super-diagonal block; both participate in the boundary-framed matrix and in
 the transfer recursion, which is why they are sampled up front.
+
+Each block comes from its own (trial, row, role) stream, so the rows can also
+be drawn one at a time (`sample_rows`): `LazyTridiagonal` names a plain
+ensemble without holding its blocks, and the transfer recursion over it keeps
+one row in memory at a time.
 """
 
 from __future__ import annotations
@@ -58,6 +63,32 @@ class BlockTridiagonal:
 
 
 @dataclass(frozen=True)
+class LazyTridiagonal:
+    """A plain ensemble by its sampling coordinates; its blocks are drawn on demand.
+
+    `rows()` yields the same blocks as `sample_tridiagonal` with the same
+    arguments, one block row at a time, and nothing is kept between calls.
+    """
+
+    n: int
+    ell: int
+    law: AtomLaw
+    master_seed: int = 0
+    trial: int = 0
+
+    def __post_init__(self):
+        self.rows()  # checks n, ell and the seed; draws nothing until iterated
+
+    @property
+    def size(self) -> int:
+        return self.n * self.ell
+
+    def rows(self):
+        """Iterator over the (diag, upper, lower) blocks of rows 0, ..., n-1."""
+        return sample_rows(self.n, self.ell, self.law, self.master_seed, self.trial)
+
+
+@dataclass(frozen=True)
 class BorderedEnsemble:
     """Inner blocks plus orthonormal boundary rows produced by `build_bordered`."""
 
@@ -89,14 +120,26 @@ def _as_scheme(seed) -> SeedScheme:
     return seed if isinstance(seed, SeedScheme) else SeedScheme(int(seed))
 
 
-def sample_tridiagonal(n: int, ell: int, law: AtomLaw, seed, trial: int = 0) -> BlockTridiagonal:
-    """Sample all 3n blocks through disjoint (trial, block, role) streams."""
+def _sample_row(ell: int, law: AtomLaw, scheme: SeedScheme, trial: int, k: int) -> tuple:
+    return tuple(fill_block(ell, law, scheme.stream(trial, k, role)) for role in ("diag", "upper", "lower"))
+
+
+def sample_rows(n: int, ell: int, law: AtomLaw, seed, trial: int = 0):
+    """Iterator over the (diag, upper, lower) blocks of block rows 0, ..., n-1.
+
+    Each block is drawn from its own (trial, row, role) stream when its row is
+    reached, so only the current row is held.
+    """
     if n < 1 or ell < 1:
         raise ValueError("need n >= 1 and ell >= 1")
     scheme = _as_scheme(seed)
-    diag = tuple(fill_block(ell, law, scheme.stream(trial, k, "diag")) for k in range(n))
-    upper = tuple(fill_block(ell, law, scheme.stream(trial, k, "upper")) for k in range(n))
-    lower = tuple(fill_block(ell, law, scheme.stream(trial, k, "lower")) for k in range(n))
+    return (_sample_row(ell, law, scheme, trial, k) for k in range(n))
+
+
+def sample_tridiagonal(n: int, ell: int, law: AtomLaw, seed, trial: int = 0) -> BlockTridiagonal:
+    """Sample all 3n blocks through disjoint (trial, block, role) streams."""
+    scheme = _as_scheme(seed)
+    diag, upper, lower = zip(*sample_rows(n, ell, law, scheme, trial))
     return BlockTridiagonal(n, ell, diag, upper, lower, law, scheme.master_seed, trial)
 
 

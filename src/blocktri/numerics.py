@@ -7,15 +7,16 @@ throughout the package.
 
 Real input stays real: a float64 matrix goes to the real LAPACK routines
 (``dgetrf``, ``dgeev``, ``dgesdd``, ...), anything complex to the complex ones.
+LU and QR call ``getrf``/``getrs`` and ``geqrf`` with ``orgqr``/``ungqr``
+directly, without the per-call checks of the ``scipy.linalg`` front ends.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import get_lapack_funcs
 
 PIVOT_FLOOR = 1e-300
 EIGVALS_CAP = 4096
@@ -63,7 +64,7 @@ class LogDetResult:
         """Solve M X = RHS with the kept LU factors of M."""
         if self.factors is None:
             raise ValueError("no LU factors kept")
-        return lu_solve(self.factors, _as_array(rhs), check_finite=False)
+        return _lu_solve(*self.factors, _as_array(rhs))
 
 
 def _as_square(m) -> np.ndarray:
@@ -74,13 +75,32 @@ def _as_square(m) -> np.ndarray:
 
 
 def _checked_lu(a: np.ndarray):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, piv = lu_factor(a, check_finite=False)
+    if a.shape[0] == 0:
+        return np.empty_like(a), np.zeros(0, dtype=np.int32)
+    (getrf,) = get_lapack_funcs(("getrf",), (a,))
+    lu, piv, info = getrf(a)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf")
+    # info > 0 flags an exact zero pivot, which the floor below also catches.
     pivots = np.abs(np.diagonal(lu))
     if not np.all(np.isfinite(pivots)) or np.any(pivots < PIVOT_FLOOR):
         raise SingularMatrixError("pivot magnitude below floor")
     return lu, piv
+
+
+def _lu_solve(lu: np.ndarray, piv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    if lu.shape[0] != rhs.shape[0]:
+        raise ValueError("shapes of the LU factors and the right-hand side do not match")
+    if rhs.size == 0:
+        return np.empty_like(rhs, dtype=np.result_type(lu, rhs))
+    (getrs,) = get_lapack_funcs(("getrs",), (lu, rhs))
+    # The getrs wrapper shifts the pivots to 1-based in place with the GIL
+    # released, so every call gets its own copy: factors shared by several
+    # threads (one ensemble's upper_factors, say) would be corrupted otherwise.
+    x, info = getrs(lu, piv.copy(), rhs)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrs")
+    return x
 
 
 def lu_logdet(m) -> LogDetResult:
@@ -101,8 +121,7 @@ def solve_lu(b, rhs) -> np.ndarray:
     """Solve B X = RHS through one LU factorization of B."""
     a = _as_square(b)
     r = _as_array(rhs)
-    lu, piv = _checked_lu(a)
-    return lu_solve((lu, piv), r, check_finite=False)
+    return _lu_solve(*_checked_lu(a), r)
 
 
 def qr_thin(m) -> tuple[np.ndarray, np.ndarray]:
@@ -114,15 +133,25 @@ def qr_thin(m) -> tuple[np.ndarray, np.ndarray]:
     a = _as_array(m)
     if a.ndim != 2:
         raise ValueError("expected a matrix")
-    q, r = np.linalg.qr(a, mode="reduced")
+    rows, cols = a.shape
+    k = min(rows, cols)
+    if k == 0:
+        return np.zeros((rows, 0), dtype=a.dtype), np.zeros((0, cols), dtype=a.dtype)
+    geqrf, gqr = get_lapack_funcs(("geqrf", "ungqr" if np.iscomplexobj(a) else "orgqr"), (a,))
+    qr, tau, _, info = geqrf(a)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of geqrf")
+    r = np.triu(qr[:k])
+    q, _, info = gqr(qr[:, :k], tau, overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of orgqr/ungqr")
     d = np.diagonal(r)
     mags = np.abs(d)
     if np.any(mags < PIVOT_FLOOR) or not np.all(np.isfinite(mags)):
         raise RankDeficientError("R diagonal magnitude below floor")
     phases = d / mags
-    q = q * phases
-    r = r * np.conj(phases)[:, None]
-    k = min(r.shape)
+    q *= phases
+    r *= np.conj(phases)[:, None]
     r[np.arange(k), np.arange(k)] = mags
     return q, r
 

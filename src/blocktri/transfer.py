@@ -6,6 +6,11 @@ QR renormalization keeps the frame orthonormal while the discarded R factors
 accumulate the log volume growth. The wedge space is never materialized at
 production sizes; frames carry decomposable elements exactly and wedge norms
 are Gram log-determinants.
+
+Every evaluation is one sweep over the block rows that factors each B_k once,
+for both log|det B_k| and the solves. Over a `LazyTridiagonal` the rows are
+drawn as the sweep reaches them, so memory stays at one row, its B factors
+and the frame, whatever n is.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import get_blas_funcs
 
-from .entropy import SeedScheme
-from .model import BlockTridiagonal, BorderedEnsemble, identity_entry_frame, identity_exit_frame, sample_tridiagonal
+from .model import BorderedEnsemble, LazyTridiagonal, identity_entry_frame, identity_exit_frame
 from .numerics import SingularMatrixError, SizeCapError, lu_logdet, qr_thin, solve_lu
 
 
@@ -36,22 +41,47 @@ class CocycleTrace:
     total: float
 
 
+def _step(a, b, c, z: complex, frame, out) -> np.ndarray:
+    """Un-normalized transfer of `frame` through one row into `out`; `b` is `lu_logdet(B)`."""
+    ell = a.shape[0]
+    u, v = frame[:ell], frame[ell:]
+    shifted = a - z * np.eye(ell)
+    # (A - z) u + C v through scipy's BLAS, the library of the solve and the
+    # QR: with numpy's matmul the sweep alternates between two OpenBLAS
+    # thread pools, which at the default thread count made it 6x slower.
+    (gemm,) = get_blas_funcs(("gemm",), (shifted, u, c))
+    w = gemm(1.0, shifted, u)
+    w = gemm(1.0, c, v, beta=1.0, c=w, overwrite_c=True)
+    x = b.solve(-w)
+    # u may be a view of out (no renormalization since the last step), so it
+    # moves down before x overwrites it.
+    out[ell:] = u
+    out[:ell] = x
+    return out
+
+
+def _renormalize(frame) -> tuple[np.ndarray, float]:
+    """Orthonormal frame of the same span, and the log volume that QR removed."""
+    q, r = qr_thin(frame)
+    return q, float(np.sum(np.log(np.diagonal(r).real)))
+
+
+def _frame_buffer(ell: int) -> np.ndarray:
+    # Fortran order is the layout LAPACK's QR reads.
+    return np.empty((2 * ell, ell), dtype=np.complex128, order="F")
+
+
 def apply_transfer(diag_block, upper_block, lower_block, z: complex, frame) -> np.ndarray:
     """One un-normalized transfer application to a 2ell-by-ell frame."""
     a = np.asarray(diag_block, dtype=np.complex128)
-    ell = a.shape[0]
     f = np.asarray(frame, dtype=np.complex128)
-    u, v = f[:ell], f[ell:]
-    w = (a - z * np.eye(ell)) @ u + np.asarray(lower_block, dtype=np.complex128) @ v
-    x = solve_lu(upper_block, -w)
-    return np.vstack([x, u])
+    c = np.asarray(lower_block, dtype=np.complex128)
+    return _step(a, lu_logdet(upper_block), c, z, f, _frame_buffer(a.shape[0]))
 
 
 def cocycle_step(state: TransferState, diag_block, upper_block, lower_block, z: complex) -> TransferState:
     """Renormalized step: apply, thin-QR, add log|det R| to the accumulator."""
-    y = apply_transfer(diag_block, upper_block, lower_block, z, state.frame)
-    q, r = qr_thin(y)
-    inc = float(np.sum(np.log(np.diagonal(r).real)))
+    q, inc = _renormalize(apply_transfer(diag_block, upper_block, lower_block, z, state.frame))
     return TransferState(q, state.log_accum + inc, state.step_index + 1)
 
 
@@ -64,32 +94,42 @@ def dense_transfer_matrix(diag_block, upper_block, lower_block, z: complex) -> n
     return np.vstack([top, bottom])
 
 
-def _propagate(model: BlockTridiagonal, z: complex, entry_frame, renorm_every: int = 1):
-    """Run the frame through all rows; returns (final frame, increments, start log)."""
+def _factored_rows(model):
+    """(A_k, lu_logdet(B_k), C_k) per block row.
+
+    A materialized ensemble reuses its cached `upper_factors`, shared by every
+    shift; a lazy one samples and factors each row as the sweep reaches it.
+    """
+    if isinstance(model, LazyTridiagonal):
+        return ((a, lu_logdet(b), c) for a, b, c in model.rows())
+    return zip(model.diag, model.upper_factors, model.lower)
+
+
+def _sweep(model, z: complex, entry_frame, renorm_every: int = 1):
+    """Run the frame through all rows.
+
+    Returns (final frame, increments, start log, sum of log|det B_k|).
+    """
     if renorm_every < 1:
         raise ValueError("renorm_every must be >= 1")
-    ell = model.ell
-    q, r = qr_thin(np.asarray(entry_frame, dtype=np.complex128))
-    log_start = float(np.sum(np.log(np.diagonal(r).real)))
-    frame = q
+    frame, log_start = _renormalize(np.asarray(entry_frame, dtype=np.complex128))
+    buf = _frame_buffer(model.ell)
     increments = []
-    eye = np.eye(ell)
-    for k, (a, b, c) in enumerate(zip(model.diag, model.upper_factors, model.lower)):
-        u, v = frame[:ell], frame[ell:]
-        w = (a - z * eye) @ u + c @ v
-        x = b.solve(-w)
-        frame = np.vstack([x, u])
+    log_b = 0.0
+    for k, (a, b, c) in enumerate(_factored_rows(model)):
+        log_b += b.log_magnitude
+        frame = _step(a, b, c, z, frame, buf)
         if (k + 1) % renorm_every == 0 or k == model.n - 1:
-            frame, r = qr_thin(frame)
-            increments.append(float(np.sum(np.log(np.diagonal(r).real))))
-    return frame, increments, log_start
+            frame, inc = _renormalize(frame)
+            increments.append(inc)
+    return frame, increments, log_start, log_b
 
 
-def cocycle_trace(model: BlockTridiagonal, z: complex, entry_frame=None) -> CocycleTrace:
+def cocycle_trace(model, z: complex, entry_frame=None) -> CocycleTrace:
     """Per-step growth increments for a normalized entry frame."""
     if entry_frame is None:
         entry_frame = identity_entry_frame(model.ell)
-    _, increments, log_start = _propagate(model, z, entry_frame)
+    _, increments, log_start, _ = _sweep(model, z, entry_frame)
     return CocycleTrace(tuple(increments), log_start + float(np.sum(increments)))
 
 
@@ -105,42 +145,44 @@ def _resolve_frames(model, z, exit_frame, entry_frame):
     return model, exit_frame, entry_frame
 
 
+def _logdet_parts(model, z, exit_frame, entry_frame, renorm_every) -> tuple[float, float]:
+    """(sum of log|det B_k|, projected growth) from one sweep."""
+    inner, pi, xi = _resolve_frames(model, z, exit_frame, entry_frame)
+    frame, increments, log_start, log_b = _sweep(inner, z, xi, renorm_every)
+    try:
+        pairing = lu_logdet(np.asarray(pi, dtype=np.complex128) @ frame).log_magnitude
+    except SingularMatrixError:
+        return log_b, -math.inf
+    return log_b, log_start + float(np.sum(increments)) + pairing
+
+
 def projected_growth_log(model, z: complex, exit_frame=None, entry_frame=None, renorm_every: int = 1) -> float:
     """log|det(exit . product of transfer operators . entry)|.
 
     Returns -inf when the final pairing underflows the pivot floor; that is a
     legitimate outcome at near-singular shifts, not an error.
     """
-    inner, pi, xi = _resolve_frames(model, z, exit_frame, entry_frame)
-    frame, increments, log_start = _propagate(inner, z, xi, renorm_every)
-    try:
-        pairing = lu_logdet(np.asarray(pi, dtype=np.complex128) @ frame).log_magnitude
-    except SingularMatrixError:
-        return -math.inf
-    return log_start + float(np.sum(increments)) + pairing
+    return _logdet_parts(model, z, exit_frame, entry_frame, renorm_every)[1]
 
 
 def frame_growth_log(model, z: complex, entry_frame=None, renorm_every: int = 1) -> float:
     """log of the wedge norm of the full product applied to the entry frame."""
     inner, _, xi = _resolve_frames(model, z, None, entry_frame)
-    _, increments, log_start = _propagate(inner, z, xi, renorm_every)
+    _, increments, log_start, _ = _sweep(inner, z, xi, renorm_every)
     return log_start + float(np.sum(increments))
 
 
 def logdet_via_transfer(model, z: complex, exit_frame=None, entry_frame=None, renorm_every: int = 1) -> float:
     """log|det| of the shifted matrix through the transfer recursion.
 
-    For a plain ensemble with identity frames this equals log|det(T - zI)|;
-    for a bordered ensemble it equals log|det| of the bordered matrix under
-    its middle-rows shift convention. The super-diagonal bookkeeping term
-    enters with a positive sign and cancels the inverses inside the product;
-    it comes from the same LU factors of B_k as the recursion's solves.
+    For a plain ensemble (materialized or lazy) with identity frames this
+    equals log|det(T - zI)|; for a bordered ensemble it equals log|det| of the
+    bordered matrix under its middle-rows shift convention. The super-diagonal
+    bookkeeping term enters with a positive sign and cancels the inverses
+    inside the product; it comes from the same LU factors of B_k as the
+    recursion's solves.
     """
-    inner, pi, xi = _resolve_frames(model, z, exit_frame, entry_frame)
-    log_b = 0.0
-    for b in inner.upper_factors:
-        log_b += b.log_magnitude
-    growth = projected_growth_log(inner, z, pi, xi, renorm_every)
+    log_b, growth = _logdet_parts(model, z, exit_frame, entry_frame, renorm_every)
     return log_b + growth
 
 
@@ -215,7 +257,6 @@ def concentration_experiment(
     """Sample spread of the normalized projected growth, optionally across doublings of n."""
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    scheme = SeedScheme(master_seed)
     if entry_frame is None:
         entry_frame = identity_entry_frame(ell)
     pi = identity_exit_frame(ell)
@@ -224,7 +265,7 @@ def concentration_experiment(
     for level, n_level in enumerate(counts):
         vals = []
         for t in range(trials):
-            model = sample_tridiagonal(n_level, ell, law, scheme, trial=level * trials + t)
+            model = LazyTridiagonal(n_level, ell, law, master_seed, trial=level * trials + t)
             vals.append(projected_growth_log(model, z, pi, entry_frame) / (n_level * ell))
         vals = np.array(vals)
         all_values.append(tuple(float(v) for v in vals))

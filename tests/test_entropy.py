@@ -40,6 +40,20 @@ def test_complex_gaussian_part_variances():
     assert abs(corr) < 0.01
 
 
+@pytest.mark.parametrize("shape", [(), (6, 6), (48, 48), (3,), 5])
+def test_complex_gaussian_equals_two_draw_form(shape):
+    """The one-call complex draw is bit for bit `(re + 1j * im) / sqrt(2)` from two draws."""
+    law = AtomLaw("complex-gaussian")
+    for block in range(50):
+        stream = _stream(9, block=block)
+        re = stream.standard_normal(shape)
+        im = stream.standard_normal(shape)
+        reference = (re + 1j * im) / np.sqrt(2.0)
+        draws = sample_atoms(law, _stream(9, block=block), shape)
+        assert draws.dtype == np.complex128 and draws.shape == np.shape(reference)
+        assert np.array_equal(draws, reference)
+
+
 def test_smoothed_rademacher_draw_form():
     law = AtomLaw("smoothed-rademacher", smoothing_exponent=1.0)
     draws = sample_atoms(law, _stream(2), 10_000, ell=100).real

@@ -1,0 +1,134 @@
+"""Row streaming: the lazy ensemble, one transfer sweep, its memory and thread safety."""
+
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from blocktri.entropy import ATOM_KINDS, AtomLaw, SeedScheme, fill_block
+from blocktri.model import LazyTridiagonal, sample_rows, sample_tridiagonal
+from blocktri.transfer import cocycle_trace, frame_growth_log, logdet_via_transfer, projected_growth_log
+
+SHIFTS = (0.0, 0.5 + 0.5j, 2.0)
+SIZES = ((5, 1), (4, 3), (3, 48))
+
+
+def _role_major_blocks(n, ell, law, scheme, trial):
+    """The sampler as written before rows were streamed: all diag, then all upper, then all lower blocks."""
+    return tuple(tuple(fill_block(ell, law, scheme.stream(trial, k, role)) for k in range(n)) for role in ("diag", "upper", "lower"))
+
+
+@pytest.mark.parametrize("kind", ATOM_KINDS)
+@pytest.mark.parametrize("n, ell", SIZES)
+def test_sample_rows_yields_the_blocks_of_sample_tridiagonal(kind, n, ell):
+    law = AtomLaw(kind)
+    m = sample_tridiagonal(n, ell, law, SeedScheme(31), trial=2)
+    diag, upper, lower = _role_major_blocks(n, ell, law, SeedScheme(31), 2)
+    rows = list(sample_rows(n, ell, law, 31, trial=2))
+    assert len(rows) == n
+    for k, (a, b, c) in enumerate(rows):
+        for got, want, ref in ((a, m.diag[k], diag[k]), (b, m.upper[k], upper[k]), (c, m.lower[k], lower[k])):
+            assert got.dtype == want.dtype == ref.dtype
+            assert np.array_equal(got, want) and np.array_equal(got, ref)
+    lazy_rows = list(LazyTridiagonal(n, ell, law, 31, trial=2).rows())
+    assert all(np.array_equal(x, y) for r, s in zip(rows, lazy_rows) for x, y in zip(r, s))
+
+
+@pytest.mark.parametrize("kind", ATOM_KINDS)
+@pytest.mark.parametrize("n, ell", SIZES)
+def test_streamed_sweep_equals_materialized_bitwise(kind, n, ell):
+    law = AtomLaw(kind)
+    m = sample_tridiagonal(n, ell, law, 32, trial=1)
+    lazy = LazyTridiagonal(n, ell, law, 32, trial=1)
+    assert (lazy.n, lazy.ell, lazy.size) == (m.n, m.ell, m.size)
+    for z in SHIFTS:
+        assert logdet_via_transfer(lazy, z) == logdet_via_transfer(m, z)
+        assert projected_growth_log(lazy, z) == projected_growth_log(m, z)
+        assert frame_growth_log(lazy, z) == frame_growth_log(m, z)
+        assert cocycle_trace(lazy, z) == cocycle_trace(m, z)
+
+
+def test_lazy_ensemble_validates_its_coordinates():
+    with pytest.raises(ValueError):
+        LazyTridiagonal(0, 2, AtomLaw("real-gaussian"))
+    with pytest.raises(ValueError):
+        LazyTridiagonal(2, 0, AtomLaw("real-gaussian"))
+    with pytest.raises(ValueError):
+        LazyTridiagonal(2, 2, AtomLaw("real-gaussian"), master_seed=1 << 64)
+    with pytest.raises(ValueError):
+        sample_rows(0, 2, AtomLaw("real-gaussian"), 0)
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_logdet_holds_one_row_at_a_time():
+    n, ell, law = 5000, 4, AtomLaw("complex-gaussian")
+    lazy = LazyTridiagonal(n, ell, law, 33)
+    streamed = _peak_bytes(lambda: logdet_via_transfer(lazy, 0.5))
+    # The whole instance is 3n blocks of ell x ell complex128 (1.9 MB of
+    # entries); with an ndarray object per block it holds about 6 MB.
+    materialized = _peak_bytes(lambda: sample_tridiagonal(n, ell, law, 33))
+    assert materialized > 3_000_000
+    assert streamed < 500_000
+
+
+_THREADED = textwrap.dedent(
+    """
+    import sys, threading
+    import numpy as np
+    import blocktri as bt
+
+    def in_threads(work, count=3):
+        results = [None] * count
+        def run(i):
+            results[i] = work()
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads), "a thread did not finish"
+        return results
+
+    sys.setswitchinterval(1e-5)
+    rng = np.random.default_rng(0)
+    b = bt.lu_logdet(rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+    rhs = [rng.standard_normal((64, 16)) + 1j * rng.standard_normal((64, 16)) for _ in range(8)]
+    serial = [b.solve(r) for r in rhs]
+    for got in in_threads(lambda: [[b.solve(r) for r in rhs] for _ in range(200)]):
+        assert all(np.array_equal(x, y) for rep in got for x, y in zip(rep, serial)), "threaded solve differs"
+
+    m = bt.sample_tridiagonal(200, 32, bt.AtomLaw("complex-gaussian"), 21)
+    shifts = [complex(0.05 * k, 0.02 * k) for k in range(40)]
+    serial = [bt.logdet_via_transfer(m, z) for z in shifts]
+    for got in in_threads(lambda: [bt.logdet_via_transfer(m, z) for z in shifts], count=2):
+        assert got == serial, "threaded transfer values differ"
+    """
+)
+
+
+def test_threads_sharing_one_factorization(tmp_path):
+    """Several threads solving through one LogDetResult: the kept pivots must stay intact.
+
+    Runs in a subprocess, so heap corruption shows as a failed test instead of
+    aborting the whole pytest run.
+    """
+    script = tmp_path / "threaded.py"
+    script.write_text(_THREADED)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
