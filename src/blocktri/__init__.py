@@ -41,12 +41,10 @@ from .numerics import (
 )
 from .transfer import (
     CocycleTrace,
-    ConcentrationSummary,
     TransferState,
     apply_transfer,
     cocycle_step,
     cocycle_trace,
-    concentration_experiment,
     dense_transfer_matrix,
     frame_growth_log,
     logdet_via_transfer,
@@ -60,7 +58,6 @@ from .spectra import (
     EsdSummary,
     empirical_stieltjes,
     esd,
-    ginibre_logdet_check,
     ginibre_potential,
     kolmogorov_distance,
     least_singular_value,
@@ -74,11 +71,16 @@ from .mde import (
     MdeChain,
     MdeConvergenceError,
     SelfEnergyProfile,
-    StieltjesDeviationTable,
     chain_imag_bound,
     density_from_stieltjes,
-    mde_vs_empirical,
     self_energy_apply,
     solve_chain,
     solve_mc,
+)
+from .harness import (
+    ConcentrationSummary,
+    StieltjesDeviationTable,
+    concentration_experiment,
+    ginibre_logdet_check,
+    mde_vs_empirical,
 )

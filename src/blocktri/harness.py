@@ -1,8 +1,12 @@
-"""Experiment harness: declarative configs, trial orchestration, CSV/JSON output.
+"""Experiment harness: one registry of per-trial kernels, one config definition,
+trial orchestration, CSV/JSON output, CLI, and the library drivers built on
+the same kernels.
 
 Every trial is a pure function of (config, trial index), so records are
 reproducible under a fixed master seed regardless of the worker count.
 Failed trials are recorded with NaN values instead of aborting the batch.
+Kernels look library functions up in this module's globals at call time, so
+a tracer that patches module attributes sees every call.
 """
 
 from __future__ import annotations
@@ -12,8 +16,9 @@ import concurrent.futures
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import Field, asdict, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,17 +45,6 @@ from .spectra import (
 )
 from .transfer import logdet_via_transfer, projected_growth_log
 
-EXPERIMENTS = (
-    "logdet-identity",
-    "logdet-limit",
-    "esd",
-    "lsv-tail",
-    "rigidity",
-    "mde-compare",
-    "concentration",
-    "ginibre",
-)
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PARTIAL = 3
@@ -62,23 +56,104 @@ class ConfigError(ValueError):
     pass
 
 
+# Per-trial kernels: each returns the values of its experiment's columns, in
+# column order.
+
+
+def _plain(config: ExperimentConfig, trial: int):
+    return sample_tridiagonal(config.n, config.ell, config.law(), config.master_seed, trial)
+
+
+def _lazy(config: ExperimentConfig, trial: int) -> LazyTridiagonal:
+    return LazyTridiagonal(config.n, config.ell, config.law(), config.master_seed, trial)
+
+
+def _periodic_measure(config: ExperimentConfig, trial: int):
+    """Squared singular values of the shifted periodic ensemble."""
+    ens = sample_periodic(config.n, config.ell, config.law(), config.master_seed, trial)
+    return singular_values(ens, config.z, config.max_dense)
+
+
+def _logdet_identity(config: ExperimentConfig, trial: int) -> tuple:
+    model = _plain(config, trial)
+    via_transfer = logdet_via_transfer(model, config.z)
+    dense = lu_logdet(to_dense(model, config.z, config.max_dense)).log_magnitude
+    return via_transfer, dense, abs(via_transfer - dense) / max(1.0, abs(dense))
+
+
+def _logdet_limit(config: ExperimentConfig, trial: int) -> tuple:
+    model = _lazy(config, trial)
+    return (logdet_via_transfer(model, config.z) / model.size,)
+
+
+def _esd(config: ExperimentConfig, trial: int) -> tuple:
+    summary = esd(_plain(config, trial), cap=min(config.max_dense, EIGVALS_CAP))
+    return summary.fraction_in_unit_disk, summary.radial_cdf_distance
+
+
+def _lsv_tail(config: ExperimentConfig, trial: int) -> tuple:
+    model = _plain(config, trial)
+    rng = SeedScheme(config.master_seed).stream(trial, 0, "frames")
+    bordered = build_bordered(model, random_exit_frame(config.ell, rng), random_entry_frame(config.ell, rng))
+    return (least_singular_value(bordered, config.z, config.max_dense),)
+
+
+def _rigidity(config: ExperimentConfig, trial: int) -> tuple:
+    measure = singular_values(_plain(config, trial), config.z, config.max_dense)
+    threshold = config.threshold if config.threshold is not None else config.ell ** (-0.1)
+    return (float(rigidity_count(measure, threshold)),)
+
+
+def _mde_compare(config: ExperimentConfig, trial: int) -> tuple:
+    mhat = empirical_stieltjes(_periodic_measure(config, trial), config.xi)
+    return mhat.real, mhat.imag, abs(mhat - solve_mc(config.xi, config.z))
+
+
+def _concentration(config: ExperimentConfig, trial: int) -> tuple:
+    model = _lazy(config, trial)
+    return (projected_growth_log(model, config.z) / model.size,)
+
+
+def _ginibre(config: ExperimentConfig, trial: int) -> tuple:
+    rng = SeedScheme(config.master_seed).stream(trial, 0, "square-iid")
+    a = sample_atoms(config.law(), rng, (config.n, config.n), ell=config.n)
+    return (lu_logdet(a / math.sqrt(3.0 * config.n)).log_magnitude / config.n,)
+
+
+# name -> (record columns, kernel(config, trial) -> column values)
+EXPERIMENTS = {
+    "logdet-identity": (("transfer_logdet", "dense_logdet", "rel_error"), _logdet_identity),
+    "logdet-limit": (("normalized_logdet",), _logdet_limit),
+    "esd": (("fraction_in_unit_disk", "radial_cdf_distance"), _esd),
+    "lsv-tail": (("least_singular_value",), _lsv_tail),
+    "rigidity": (("rigidity_count",), _rigidity),
+    "mde-compare": (("mhat_re", "mhat_im", "deviation"), _mde_compare),
+    "concentration": (("normalized_projected_growth",), _concentration),
+    "ginibre": (("normalized_logdet",), _ginibre),
+}
+
+
 @dataclass
 class ExperimentConfig:
-    experiment: str
+    """One experiment; every field is a config-file key and a CLI flag.
+
+    Both are named after the field unless its metadata gives a `key` or a
+    `flag`. A complex field is set by two keys, ``<key>_re`` and ``<key>_im``.
+    """
+
+    experiment: str = field(metadata={"choices": tuple(EXPERIMENTS)})
     n: int = 8
     ell: int = 8
     z: complex = 0j
-    law_kind: str = "complex-gaussian"
+    law_kind: str = field(default="complex-gaussian", metadata={"key": "law", "choices": ATOM_KINDS})
     smoothing_exponent: float = 1.0
     trials: int = 1
-    master_seed: int = 0
-    tol: float = 1e-8
+    master_seed: int = field(default=0, metadata={"flag": "--seed"})
     max_dense: int = DEFAULT_DENSE_CAP
-    out: str | None = None
+    out: str | None = field(default=None, metadata={"echo": False})
     workers: int = 1
     xi: complex = 2 + 1j
     threshold: float | None = None
-    extra: dict = field(default_factory=dict)
 
     def law(self) -> AtomLaw:
         return AtomLaw(self.law_kind, self.smoothing_exponent)
@@ -90,32 +165,67 @@ class ExperimentConfig:
             raise ConfigError("dimensions must be positive")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.law_kind not in ATOM_KINDS:
-            raise ConfigError(f"unknown atom law {self.law_kind!r}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        try:
+            self.law()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if self.threshold is not None and self.threshold < 0:
+            raise ConfigError("threshold must be nonnegative")
         if self.experiment == "mde-compare" and complex(self.xi).imag <= 0:
             raise ConfigError("xi must lie in the upper half plane")
+        if self.experiment == "mde-compare" and self.n < 3:
+            raise ConfigError("mde-compare needs n >= 3 for distinct periodic corners")
 
     def echo(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "n": self.n,
-            "ell": self.ell,
-            "z_re": self.z.real,
-            "z_im": self.z.imag,
-            "law": self.law_kind,
-            "smoothing_exponent": self.smoothing_exponent,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "tol": self.tol,
-            "max_dense": self.max_dense,
-            "workers": self.workers,
-            "xi_re": complex(self.xi).real,
-            "xi_im": complex(self.xi).imag,
-            "threshold": self.threshold,
-            "extra": self.extra,
-        }
+        return {key.name: key.get(self) for key in KEYS if key.field.metadata.get("echo", True)}
+
+
+# Parser of each ExperimentConfig annotation; a complex field parses each part.
+_PARSERS = {"str": str, "int": int, "float": float, "complex": float, "str | None": str, "float | None": float}
+
+
+class ConfigKey(NamedTuple):
+    """One settable value: its config-file key, its CLI flag and the field it sets."""
+
+    name: str
+    flag: str
+    field: Field
+    part: str | None = None
+
+    @property
+    def parse(self):
+        return _PARSERS[self.field.type]
+
+    def get(self, config: ExperimentConfig):
+        value = getattr(config, self.field.name)
+        return getattr(value, self.part) if self.part else value
+
+    def set(self, config: ExperimentConfig, raw) -> None:
+        """Parse and store one value; a complex part leaves the other part as it is."""
+        try:
+            value = None if raw is None and self.field.default is None else self.parse(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for {self.name}: {exc}") from None
+        if self.part:
+            old = complex(getattr(config, self.field.name))
+            value = complex(value, old.imag) if self.part == "real" else complex(old.real, value)
+        setattr(config, self.field.name, value)
+
+
+def _config_keys():
+    for f in fields(ExperimentConfig):
+        name = f.metadata.get("key", f.name)
+        flag = f.metadata.get("flag", "--" + name.replace("_", "-"))
+        if f.type == "complex":
+            yield ConfigKey(name + "_re", flag + "-re", f, "real")
+            yield ConfigKey(name + "_im", flag + "-im", f, "imag")
+        else:
+            yield ConfigKey(name, flag, f)
+
+
+KEYS = tuple(_config_keys())
 
 
 @dataclass
@@ -137,82 +247,7 @@ class ResultRecord:
     version: str = __version__
 
     def to_jsonable(self) -> dict:
-        return {
-            "config": self.config,
-            "columns": list(self.columns),
-            "trials": [
-                {
-                    "index": t.index,
-                    "seed": t.seed,
-                    "values": t.values,
-                    "status": t.status,
-                    "error": t.error,
-                }
-                for t in self.trials
-            ],
-            "aggregates": self.aggregates,
-            "wall_time_s": self.wall_time_s,
-            "version": self.version,
-        }
-
-
-def _columns(experiment: str) -> list:
-    return {
-        "logdet-identity": ["transfer_logdet", "dense_logdet", "rel_error"],
-        "logdet-limit": ["normalized_logdet"],
-        "esd": ["fraction_in_unit_disk", "radial_cdf_distance"],
-        "lsv-tail": ["least_singular_value"],
-        "rigidity": ["rigidity_count"],
-        "mde-compare": ["mhat_re", "mhat_im", "deviation"],
-        "concentration": ["normalized_projected_growth"],
-        "ginibre": ["normalized_logdet"],
-    }[experiment]
-
-
-def _run_trial(config: ExperimentConfig, trial: int) -> dict:
-    law = config.law()
-    scheme = SeedScheme(config.master_seed)
-    exp = config.experiment
-    if exp == "logdet-identity":
-        model = sample_tridiagonal(config.n, config.ell, law, scheme, trial)
-        via_transfer = logdet_via_transfer(model, config.z)
-        dense = lu_logdet(to_dense(model, config.z, config.max_dense)).log_magnitude
-        rel = abs(via_transfer - dense) / max(1.0, abs(dense))
-        return {"transfer_logdet": via_transfer, "dense_logdet": dense, "rel_error": rel}
-    if exp == "logdet-limit":
-        model = LazyTridiagonal(config.n, config.ell, law, config.master_seed, trial)
-        return {"normalized_logdet": logdet_via_transfer(model, config.z) / model.size}
-    if exp == "esd":
-        model = sample_tridiagonal(config.n, config.ell, law, scheme, trial)
-        summary = esd(model, cap=min(config.max_dense, EIGVALS_CAP))
-        return {
-            "fraction_in_unit_disk": summary.fraction_in_unit_disk,
-            "radial_cdf_distance": summary.radial_cdf_distance,
-        }
-    if exp == "lsv-tail":
-        model = sample_tridiagonal(config.n, config.ell, law, scheme, trial)
-        rng = scheme.stream(trial, 0, "frames")
-        bordered = build_bordered(model, random_exit_frame(config.ell, rng), random_entry_frame(config.ell, rng))
-        return {"least_singular_value": least_singular_value(bordered, config.z, config.max_dense)}
-    if exp == "rigidity":
-        model = sample_tridiagonal(config.n, config.ell, law, scheme, trial)
-        measure = singular_values(model, config.z, config.max_dense)
-        threshold = config.threshold if config.threshold is not None else config.ell ** (-0.1)
-        return {"rigidity_count": float(rigidity_count(measure, threshold))}
-    if exp == "mde-compare":
-        ens = sample_periodic(config.n, config.ell, law, scheme, trial)
-        measure = singular_values(ens, config.z, config.max_dense)
-        mhat = empirical_stieltjes(measure, config.xi)
-        bulk = solve_mc(config.xi, config.z)
-        return {"mhat_re": mhat.real, "mhat_im": mhat.imag, "deviation": abs(mhat - bulk)}
-    if exp == "concentration":
-        model = LazyTridiagonal(config.n, config.ell, law, config.master_seed, trial)
-        return {"normalized_projected_growth": projected_growth_log(model, config.z) / model.size}
-    if exp == "ginibre":
-        a = sample_atoms(law, scheme.stream(trial, 0, "square-iid"), (config.n, config.n), ell=config.n)
-        value = lu_logdet(a / math.sqrt(3.0 * config.n)).log_magnitude / config.n
-        return {"normalized_logdet": value}
-    raise ConfigError(f"unknown experiment {exp!r}")
+        return asdict(self) | {"columns": list(self.columns)}
 
 
 def _aggregate(columns, trials) -> dict:
@@ -239,14 +274,14 @@ def _aggregate(columns, trials) -> dict:
 def run(config: ExperimentConfig) -> ResultRecord:
     """Run all trials of one experiment; deterministic given the master seed."""
     config.validate()
-    columns = _columns(config.experiment)
+    columns, kernel = EXPERIMENTS[config.experiment]
     scheme = SeedScheme(config.master_seed)
     start = time.perf_counter()
 
     def one(trial: int) -> TrialResult:
         label = scheme.trial_seed(trial)
         try:
-            values = _run_trial(config, trial)
+            values = dict(zip(columns, kernel(config, trial), strict=True))
             return TrialResult(trial, label, values)
         except (NumericsError, np.linalg.LinAlgError, MdeConvergenceError) as exc:
             values = {col: float("nan") for col in columns}
@@ -258,7 +293,7 @@ def run(config: ExperimentConfig) -> ResultRecord:
         with concurrent.futures.ThreadPoolExecutor(max_workers=config.workers) as pool:
             trials = list(pool.map(one, range(config.trials)))
     wall = time.perf_counter() - start
-    return ResultRecord(config.echo(), columns, trials, _aggregate(columns, trials), wall)
+    return ResultRecord(config.echo(), list(columns), trials, _aggregate(columns, trials), wall)
 
 
 def emit(record: ResultRecord, out_base, formats=("csv", "json")) -> list:
@@ -283,21 +318,106 @@ def emit(record: ResultRecord, out_base, formats=("csv", "json")) -> list:
     return written
 
 
+# Library drivers: sweeps over trials (and sizes) on the harness kernels.
+
+
+@dataclass(frozen=True)
+class ConcentrationSummary:
+    block_counts: tuple
+    means: tuple
+    std_devs: tuple
+    std_dev_decreasing: bool
+    values: tuple
+
+
+@dataclass(frozen=True)
+class StieltjesDeviationTable:
+    """Deviations |trial-averaged empirical transform - bulk solution| per (ell, xi)."""
+
+    ell_values: tuple
+    xi_values: tuple
+    deviations: np.ndarray
+    bulk_values: tuple
+
+    def decreasing_in_ell(self, xi_index: int = 0) -> bool:
+        col = self.deviations[:, xi_index]
+        return bool(np.all(np.diff(col) < 0))
+
+
+def _driver_config(experiment: str, law: AtomLaw | None, master_seed: int, **values) -> ExperimentConfig:
+    if law is not None:
+        values.update(law_kind=law.kind, smoothing_exponent=law.smoothing_exponent)
+    return ExperimentConfig(experiment, master_seed=master_seed, **values)
+
+
+def concentration_experiment(
+    n: int,
+    ell: int,
+    z: complex,
+    trials: int,
+    *,
+    law: AtomLaw,
+    master_seed: int = 0,
+    doublings: int = 0,
+) -> ConcentrationSummary:
+    """Sample spread of the normalized projected growth, optionally across doublings of n.
+
+    Level j runs the ``concentration`` kernel at n * 2**j block rows on
+    trials j*trials through (j+1)*trials - 1.
+    """
+    if trials < 2:
+        raise ValueError("need at least 2 trials")
+    counts = tuple(n * 2**j for j in range(doublings + 1))
+    values = []
+    for level, n_level in enumerate(counts):
+        config = _driver_config("concentration", law, master_seed, n=n_level, ell=ell, z=z)
+        values.append(tuple(_concentration(config, level * trials + t)[0] for t in range(trials)))
+    means = tuple(float(np.mean(v)) for v in values)
+    stds = tuple(float(np.std(v, ddof=1)) for v in values)
+    decreasing = all(later < earlier for earlier, later in zip(stds, stds[1:]))
+    return ConcentrationSummary(counts, means, stds, decreasing, tuple(values))
+
+
+def ginibre_logdet_check(n: int, trials: int, *, law: AtomLaw | None = None, master_seed: int = 0) -> float:
+    """Mean over trials of (1/n) log|det((3n)^{-1/2} A)| for an i.i.d. square matrix."""
+    config = _driver_config("ginibre", law, master_seed, n=n)
+    return float(np.mean([_ginibre(config, t)[0] for t in range(trials)]))
+
+
+def mde_vs_empirical(
+    n: int,
+    ell_values,
+    z: complex,
+    xi_grid,
+    trials: int,
+    *,
+    law: AtomLaw | None = None,
+    master_seed: int = 0,
+) -> StieltjesDeviationTable:
+    """Trial-averaged empirical transform of the periodic ensemble against the bulk solution.
+
+    The i-th ell runs trials i*trials through (i+1)*trials - 1, as the
+    ``mde-compare`` kernel does, with one SVD per trial for the whole xi grid.
+    """
+    xi_values = tuple(complex(x) for x in xi_grid)
+    ells = tuple(int(e) for e in ell_values)
+    bulk = tuple(solve_mc(xi, z) for xi in xi_values)
+    table = np.empty((len(ells), len(xi_values)))
+    for i, ell in enumerate(ells):
+        config = _driver_config("mde-compare", law, master_seed, n=n, ell=ell, z=z)
+        sums = np.zeros(len(xi_values), dtype=np.complex128)
+        for t in range(trials):
+            measure = _periodic_measure(config, i * trials + t)
+            sums += np.array([empirical_stieltjes(measure, xi) for xi in xi_values])
+        table[i] = np.abs(sums / trials - np.array(bulk))
+    return StieltjesDeviationTable(ells, xi_values, table, bulk)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="blocktri", description="Block tridiagonal ensemble experiments")
     p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--experiment", choices=EXPERIMENTS)
-    p.add_argument("--n", type=int)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--z-re", type=float)
-    p.add_argument("--z-im", type=float)
-    p.add_argument("--law", choices=ATOM_KINDS)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-dense", type=int)
-    p.add_argument("--workers", type=int)
+    for key in KEYS:
+        p.add_argument(key.flag, dest=key.name, type=key.parse, choices=key.field.metadata.get("choices"))
     return p
 
 
@@ -307,48 +427,16 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    known = {
-        "experiment",
-        "n",
-        "ell",
-        "z_re",
-        "z_im",
-        "law",
-        "smoothing_exponent",
-        "trials",
-        "master_seed",
-        "tol",
-        "max_dense",
-        "out",
-        "workers",
-        "xi_re",
-        "xi_im",
-        "threshold",
-        "extra",
-    }
-    unknown = set(data) - known
+    keys = {key.name: key for key in KEYS}
+    unknown = set(data) - set(keys)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     if "experiment" not in data:
         raise ConfigError("config needs an experiment")
-    cfg = ExperimentConfig(experiment=data["experiment"])
-    cfg.n = int(data.get("n", cfg.n))
-    cfg.ell = int(data.get("ell", cfg.ell))
-    cfg.z = complex(float(data.get("z_re", 0.0)), float(data.get("z_im", 0.0)))
-    cfg.law_kind = data.get("law", cfg.law_kind)
-    cfg.smoothing_exponent = float(data.get("smoothing_exponent", cfg.smoothing_exponent))
-    cfg.trials = int(data.get("trials", cfg.trials))
-    cfg.master_seed = int(data.get("master_seed", cfg.master_seed))
-    cfg.tol = float(data.get("tol", cfg.tol))
-    cfg.max_dense = int(data.get("max_dense", cfg.max_dense))
-    cfg.out = data.get("out", cfg.out)
-    cfg.workers = int(data.get("workers", cfg.workers))
-    cfg.xi = complex(float(data.get("xi_re", 2.0)), float(data.get("xi_im", 1.0)))
-    cfg.threshold = data.get("threshold", cfg.threshold)
-    if cfg.threshold is not None:
-        cfg.threshold = float(cfg.threshold)
-    cfg.extra = dict(data.get("extra", {}))
-    return cfg
+    config = ExperimentConfig(experiment=data["experiment"])
+    for name, value in data.items():
+        keys[name].set(config, value)
+    return config
 
 
 def main(argv=None) -> int:
@@ -360,25 +448,12 @@ def main(argv=None) -> int:
             config = ExperimentConfig(experiment=args.experiment)
         else:
             raise ConfigError("need --config or --experiment")
-        overrides = {
-            "experiment": args.experiment,
-            "n": args.n,
-            "ell": args.ell,
-            "trials": args.trials,
-            "master_seed": args.seed,
-            "tol": args.tol,
-            "max_dense": args.max_dense,
-            "out": args.out,
-            "workers": args.workers,
-            "law_kind": args.law,
-        }
-        for name, value in overrides.items():
+        for key in KEYS:
+            value = getattr(args, key.name)
             if value is not None:
-                setattr(config, name, value)
-        if args.z_re is not None or args.z_im is not None:
-            config.z = complex(args.z_re or 0.0, args.z_im or 0.0)
+                key.set(config, value)
         config.validate()
-    except (ConfigError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}")
         return EXIT_CONFIG
 

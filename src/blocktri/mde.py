@@ -12,10 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import AtomLaw
-from .model import sample_periodic
-from .spectra import empirical_stieltjes, singular_values
-
 DAMPING_FLOOR = 2.0**-10
 
 
@@ -167,48 +163,6 @@ def self_energy_apply(profile: SelfEnergyProfile, diag_values) -> np.ndarray:
     padded = np.concatenate([[0.0 + 0.0j], block_means, [0.0 + 0.0j]])
     out_blocks = (padded[:-2] + padded[1:-1] + padded[2:]) / 3.0
     return np.repeat(out_blocks, profile.ell)
-
-
-@dataclass(frozen=True)
-class StieltjesDeviationTable:
-    """Deviations |trial-averaged empirical transform - bulk solution| per (ell, xi)."""
-
-    ell_values: tuple
-    xi_values: tuple
-    deviations: np.ndarray
-    bulk_values: tuple
-
-    def decreasing_in_ell(self, xi_index: int = 0) -> bool:
-        col = self.deviations[:, xi_index]
-        return bool(np.all(np.diff(col) < 0))
-
-
-def mde_vs_empirical(
-    n: int,
-    ell_values,
-    z: complex,
-    xi_grid,
-    trials: int,
-    *,
-    law: AtomLaw | None = None,
-    master_seed: int = 0,
-) -> StieltjesDeviationTable:
-    """Trial-averaged empirical transform of the periodic ensemble against the bulk solution."""
-    if law is None:
-        law = AtomLaw("complex-gaussian")
-    xi_values = tuple(complex(x) for x in xi_grid)
-    ells = tuple(int(e) for e in ell_values)
-    bulk = tuple(solve_mc(xi, z) for xi in xi_values)
-    table = np.empty((len(ells), len(xi_values)))
-    for i, ell in enumerate(ells):
-        sums = np.zeros(len(xi_values), dtype=np.complex128)
-        for t in range(trials):
-            ens = sample_periodic(n, ell, law, master_seed, trial=i * trials + t)
-            measure = singular_values(ens, z)
-            sums += np.array([empirical_stieltjes(measure, xi) for xi in xi_values])
-        averaged = sums / trials
-        table[i] = np.abs(averaged - np.array(bulk))
-    return StieltjesDeviationTable(ells, xi_values, table, bulk)
 
 
 def density_from_stieltjes(m_function, e_grid, eta: float) -> np.ndarray:

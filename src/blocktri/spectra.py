@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import AtomLaw, SeedScheme, sample_atoms
 from .model import DEFAULT_DENSE_CAP, to_dense
-from .numerics import EIGVALS_CAP, eigvals, lu_logdet, svd_values
+from .numerics import EIGVALS_CAP, eigvals, svd_values
 from .transfer import logdet_via_transfer
 
 
@@ -110,25 +109,6 @@ def log_potential(model, z_values) -> dict:
     """Per-shift normalized log determinant, evaluated through the transfer recursion."""
     size = model.size
     return {complex(z): logdet_via_transfer(model, z) / size for z in z_values}
-
-
-def ginibre_logdet_check(
-    n: int,
-    trials: int,
-    *,
-    law: AtomLaw | None = None,
-    master_seed: int = 0,
-) -> float:
-    """Mean over trials of (1/n) log|det((3n)^{-1/2} A)| for an i.i.d. square matrix."""
-    if law is None:
-        law = AtomLaw("complex-gaussian")
-    scheme = SeedScheme(master_seed)
-    scale = 1.0 / np.sqrt(3.0 * n)
-    vals = []
-    for t in range(trials):
-        a = sample_atoms(law, scheme.stream(t, 0, "square-iid"), (n, n), ell=n)
-        vals.append(lu_logdet(scale * a).log_magnitude / n)
-    return float(np.mean(vals))
 
 
 def logint_bound_check(mu: EmpiricalMeasure, nu: EmpiricalMeasure, a: float, b: float, beta: float) -> bool:

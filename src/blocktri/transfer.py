@@ -232,44 +232,3 @@ def subsystem_split(n: int, ell: int, d: float) -> tuple[int, list[tuple[int, in
             segments.append((n0 * whole + 1, n))
             return n0, segments
     raise ValueError("no admissible segment length in [2*ell**d, 4*ell**d]")
-
-
-@dataclass(frozen=True)
-class ConcentrationSummary:
-    block_counts: tuple
-    means: tuple
-    std_devs: tuple
-    std_dev_decreasing: bool
-    values: tuple
-
-
-def concentration_experiment(
-    n: int,
-    ell: int,
-    z: complex,
-    trials: int,
-    entry_frame=None,
-    *,
-    law,
-    master_seed: int = 0,
-    doublings: int = 0,
-) -> ConcentrationSummary:
-    """Sample spread of the normalized projected growth, optionally across doublings of n."""
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
-    if entry_frame is None:
-        entry_frame = identity_entry_frame(ell)
-    pi = identity_exit_frame(ell)
-    counts = tuple(n * 2**j for j in range(doublings + 1))
-    all_values, means, stds = [], [], []
-    for level, n_level in enumerate(counts):
-        vals = []
-        for t in range(trials):
-            model = LazyTridiagonal(n_level, ell, law, master_seed, trial=level * trials + t)
-            vals.append(projected_growth_log(model, z, pi, entry_frame) / (n_level * ell))
-        vals = np.array(vals)
-        all_values.append(tuple(float(v) for v in vals))
-        means.append(float(vals.mean()))
-        stds.append(float(vals.std(ddof=1)))
-    decreasing = all(stds[i + 1] < stds[i] for i in range(len(stds) - 1))
-    return ConcentrationSummary(counts, tuple(means), tuple(stds), decreasing, tuple(all_values))

@@ -1,20 +1,28 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from blocktri import harness, spectra
+from blocktri.entropy import AtomLaw
 from blocktri.harness import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PARTIAL,
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     ResultRecord,
+    concentration_experiment,
     config_from_dict,
     emit,
+    ginibre_logdet_check,
     main,
+    mde_vs_empirical,
     run,
 )
+from blocktri.mde import solve_mc
 
 
 def _strip_wall(record):
@@ -59,6 +67,7 @@ def test_all_experiments_produce_their_columns(tmp_path):
         "concentration": dict(n=6, ell=3),
         "ginibre": dict(n=12),
     }
+    assert set(cases) == set(EXPERIMENTS)
     for name, kw in cases.items():
         record = run(ExperimentConfig(name, trials=2, master_seed=3, **kw))
         assert len(record.trials) == 2
@@ -102,6 +111,27 @@ def test_config_validation_errors():
         config_from_dict({"experiment": "esd", "bogus": 1})
     with pytest.raises(ConfigError):
         config_from_dict({})
+    with pytest.raises(ConfigError):
+        config_from_dict({"experiment": "esd", "tol": 1e-8})
+    with pytest.raises(ConfigError):
+        config_from_dict({"experiment": "esd", "n": None})
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"experiment": "rigidity", "threshold": -1.0},
+        {"experiment": "rigidity", "smoothing_exponent": -1.0},
+        {"experiment": "mde-compare", "n": 2},
+    ],
+)
+def test_bad_values_are_config_errors_before_any_trial(tmp_path, bad):
+    with pytest.raises(ConfigError):
+        run(ExperimentConfig(**{"n": 3, "ell": 2, **bad}))
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"n": 3, "ell": 2, "out": str(tmp_path / "r"), **bad}))
+    assert main(["--config", str(cfg_path)]) == EXIT_CONFIG
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_failed_trials_are_recorded_not_fatal(tmp_path):
@@ -175,3 +205,82 @@ def test_main_with_config_file_and_overrides(tmp_path):
     parsed = json.loads((tmp_path / "limit.json").read_text())
     assert parsed["config"]["trials"] == 3
     assert len(parsed["trials"]) == 3
+
+
+def _all_fields_set(tmp_path):
+    cfg = ExperimentConfig(
+        "rigidity",
+        n=3,
+        ell=2,
+        z=0.25 - 0.5j,
+        law_kind="smoothed-rademacher",
+        smoothing_exponent=2.0,
+        trials=2,
+        master_seed=5,
+        max_dense=64,
+        out=str(tmp_path / "all"),
+        workers=2,
+        xi=1.5 + 0.75j,
+        threshold=0.3,
+    )
+    defaults = ExperimentConfig("esd")
+    assert all(getattr(cfg, f.name) != getattr(defaults, f.name) for f in fields(cfg))
+    return cfg
+
+
+def test_config_round_trips_through_echo_and_flags(tmp_path):
+    cfg = _all_fields_set(tmp_path)
+    assert config_from_dict(cfg.echo() | {"out": cfg.out}) == cfg
+    flags = [
+        "--experiment", "rigidity", "--n", "3", "--ell", "2", "--z-re", "0.25", "--z-im", "-0.5",
+        "--law", "smoothed-rademacher", "--smoothing-exponent", "2.0", "--trials", "2", "--seed", "5",
+        "--max-dense", "64", "--out", cfg.out, "--workers", "2", "--xi-re", "1.5", "--xi-im", "0.75",
+        "--threshold", "0.3",
+    ]  # fmt: skip
+    assert main(flags) == EXIT_OK
+    assert json.loads((tmp_path / "all.json").read_text())["config"] == cfg.echo()
+
+
+@pytest.mark.parametrize("flag, kept, set_key", [("--z-im", "z_re", "z_im"), ("--xi-im", "xi_re", "xi_im")])
+def test_flag_overrides_only_its_own_part(tmp_path, flag, kept, set_key):
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "part"
+    cfg_path.write_text(json.dumps({"experiment": "mde-compare", "n": 3, "ell": 2, kept: 1.5, "out": str(out)}))
+    assert main(["--config", str(cfg_path), flag, "0.5"]) == EXIT_OK
+    echoed = json.loads(out.with_suffix(".json").read_text())["config"]
+    assert (echoed[kept], echoed[set_key]) == (1.5, 0.5)
+
+
+def _values(record, column, start):
+    return tuple(t.values[column] for t in record.trials[start:])
+
+
+def test_drivers_equal_the_harness_records(monkeypatch):
+    law = AtomLaw("real-gaussian")
+    summary = concentration_experiment(4, 3, 0.5, trials=3, law=law, master_seed=8, doublings=1)
+    for level, n_level in enumerate(summary.block_counts):
+        cfg = ExperimentConfig("concentration", n=n_level, ell=3, z=0.5, law_kind=law.kind, trials=3 * (level + 1), master_seed=8)
+        assert summary.values[level] == _values(run(cfg), "normalized_projected_growth", 3 * level)
+
+    record = run(ExperimentConfig("ginibre", n=10, trials=3, master_seed=2))
+    assert ginibre_logdet_check(10, 3, master_seed=2) == record.aggregates["normalized_logdet"]["mean"]
+
+    svds = []
+
+    def counted(*args):
+        svds.append(args)
+        return spectra.singular_values(*args)
+
+    monkeypatch.setattr(harness, "singular_values", counted)
+    table = mde_vs_empirical(4, [2, 3], 0.5, [2 + 1j, 0.5j], trials=2, master_seed=6)
+    assert len(svds) == 2 * 2  # one SVD per (ell, trial), shared by every xi
+    for i, ell in enumerate(table.ell_values):
+        mhat = []
+        for xi in table.xi_values:
+            rec = run(ExperimentConfig("mde-compare", n=4, ell=ell, z=0.5, xi=xi, trials=2 * (i + 1), master_seed=6))
+            mhat.append([complex(re, im) for re, im in zip(_values(rec, "mhat_re", 2 * i), _values(rec, "mhat_im", 2 * i))])
+        sums = np.zeros(len(table.xi_values), dtype=np.complex128)
+        for column in np.array(mhat).T:
+            sums += column
+        bulk = np.array([solve_mc(xi, 0.5) for xi in table.xi_values])
+        assert np.array_equal(table.deviations[i], np.abs(sums / 2 - bulk))

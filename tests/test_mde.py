@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from blocktri.entropy import AtomLaw, SeedScheme, fill_block
+from blocktri.harness import mde_vs_empirical
 from blocktri.mde import (
     MdeConvergenceError,
     SelfEnergyProfile,
     chain_imag_bound,
     density_from_stieltjes,
-    mde_vs_empirical,
     self_energy_apply,
     solve_chain,
     solve_mc,

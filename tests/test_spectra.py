@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blocktri.entropy import AtomLaw, SeedScheme
+from blocktri.harness import ginibre_logdet_check
 from blocktri.model import (
     BlockTridiagonal,
     build_bordered,
@@ -15,7 +16,6 @@ from blocktri.spectra import (
     EmpiricalMeasure,
     empirical_stieltjes,
     esd,
-    ginibre_logdet_check,
     ginibre_potential,
     kolmogorov_distance,
     least_singular_value,

@@ -3,6 +3,7 @@ import pytest
 
 from blocktri import model
 from blocktri.entropy import AtomLaw, SeedScheme
+from blocktri.harness import concentration_experiment
 from blocktri.model import (
     build_bordered,
     identity_entry_frame,
@@ -18,7 +19,6 @@ from blocktri.transfer import (
     apply_transfer,
     cocycle_step,
     cocycle_trace,
-    concentration_experiment,
     dense_transfer_matrix,
     frame_growth_log,
     logdet_via_transfer,
