@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .entropy import ATOM_KINDS, AtomLaw, SeedScheme, fill_block, sample_atom, sample_atoms
+from .entropy import ATOM_KINDS, AtomLaw, SeedScheme, fill_block, sample_atoms
 from .model import (
     BlockTridiagonal,
     BorderedEnsemble,
@@ -10,10 +10,8 @@ from .model import (
     LazyTridiagonal,
     PeriodicEnsemble,
     build_bordered,
-    dump_ensemble,
     identity_entry_frame,
     identity_exit_frame,
-    load_ensemble,
     operator_norm_check,
     random_entry_frame,
     random_exit_frame,
@@ -41,16 +39,12 @@ from .numerics import (
 )
 from .transfer import (
     CocycleTrace,
-    TransferState,
-    apply_transfer,
-    cocycle_step,
     cocycle_trace,
     dense_transfer_matrix,
     frame_growth_log,
     logdet_via_transfer,
     plucker_coordinates,
     projected_growth_log,
-    subsystem_split,
     wedge_power_small,
 )
 from .spectra import (
@@ -70,10 +64,7 @@ from .spectra import (
 from .mde import (
     MdeChain,
     MdeConvergenceError,
-    SelfEnergyProfile,
     chain_imag_bound,
-    density_from_stieltjes,
-    self_energy_apply,
     solve_chain,
     solve_mc,
 )

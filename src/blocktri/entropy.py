@@ -106,11 +106,6 @@ def sample_atoms(law: AtomLaw, stream: np.random.Generator, size, ell: int | Non
     return s * signs + t * g
 
 
-def sample_atom(law: AtomLaw, stream: np.random.Generator, ell: int | None = None) -> complex:
-    """One draw from the law; real kinds return zero imaginary part."""
-    return complex(sample_atoms(law, stream, (), ell=ell))
-
-
 def fill_block(ell: int, law: AtomLaw, stream: np.random.Generator) -> np.ndarray:
     """ell-by-ell block with i.i.d. entries of law scaled by (3*ell)**(-1/2).
 

@@ -296,26 +296,21 @@ def run(config: ExperimentConfig) -> ResultRecord:
     return ResultRecord(config.echo(), list(columns), trials, _aggregate(columns, trials), wall)
 
 
-def emit(record: ResultRecord, out_base, formats=("csv", "json")) -> list:
-    """Write the record; CSV carries one row per trial, JSON the full record."""
+def emit(record: ResultRecord, out_base) -> list:
+    """Write the record as CSV (one row per trial) and JSON (the full record)."""
     base = Path(out_base)
     base.parent.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "csv" in formats:
-        path = base.with_suffix(".csv")
-        lines = [",".join(["trial", "seed"] + list(record.columns) + ["status"])]
-        for t in record.trials:
-            cells = [str(t.index), str(t.seed)]
-            cells += [repr(float(t.values[c])) for c in record.columns]
-            cells.append(t.status)
-            lines.append(",".join(cells))
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
-    if "json" in formats:
-        path = base.with_suffix(".json")
-        path.write_text(json.dumps(record.to_jsonable(), indent=2, allow_nan=True) + "\n")
-        written.append(path)
-    return written
+    csv_path = base.with_suffix(".csv")
+    lines = [",".join(["trial", "seed"] + list(record.columns) + ["status"])]
+    for t in record.trials:
+        cells = [str(t.index), str(t.seed)]
+        cells += [repr(float(t.values[c])) for c in record.columns]
+        cells.append(t.status)
+        lines.append(",".join(cells))
+    csv_path.write_text("\n".join(lines) + "\n")
+    json_path = base.with_suffix(".json")
+    json_path.write_text(json.dumps(record.to_jsonable(), indent=2, allow_nan=True) + "\n")
+    return [csv_path, json_path]
 
 
 # Library drivers: sweeps over trials (and sizes) on the harness kernels.
@@ -467,6 +462,3 @@ def main(argv=None) -> int:
     print(f"wrote {', '.join(str(p) for p in paths)} ({failed} failed trials)")
     return EXIT_PARTIAL if failed else EXIT_OK
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -128,46 +128,3 @@ def chain_imag_bound(z: complex, eta: float) -> float:
     """Uniform bound on |Im m_i| for the chain at purely imaginary w = i eta."""
     return max(2.0 * abs(complex(z)), np.sqrt(6.0)) / np.sqrt(eta)
 
-
-@dataclass(frozen=True)
-class SelfEnergyProfile:
-    """Variance profile of the plain ensemble, reduced to block structure.
-
-    Every structurally nonzero entry has variance 1/(3 ell); a block row in
-    the interior touches three blocks, the first and last rows only two.
-    """
-
-    n: int
-    ell: int
-
-    @property
-    def size(self) -> int:
-        return self.n * self.ell
-
-    def block_row_sums(self) -> np.ndarray:
-        sums = np.full(self.n, 1.0)
-        sums[0] = 2.0 / 3.0
-        if self.n > 1:
-            sums[-1] = 2.0 / 3.0
-        else:
-            sums[0] = 1.0 / 3.0
-        return sums
-
-
-def self_energy_apply(profile: SelfEnergyProfile, diag_values) -> np.ndarray:
-    """Row sums of the variance profile against a diagonal: a sliding block average."""
-    v = np.asarray(diag_values, dtype=np.complex128).ravel()
-    if v.size != profile.size:
-        raise ValueError(f"expected {profile.size} diagonal values, got {v.size}")
-    block_means = v.reshape(profile.n, profile.ell).mean(axis=1)
-    padded = np.concatenate([[0.0 + 0.0j], block_means, [0.0 + 0.0j]])
-    out_blocks = (padded[:-2] + padded[1:-1] + padded[2:]) / 3.0
-    return np.repeat(out_blocks, profile.ell)
-
-
-def density_from_stieltjes(m_function, e_grid, eta: float) -> np.ndarray:
-    """Stieltjes inversion at height eta: (1/pi) Im m(E + i eta), clipped at 0."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    vals = np.array([m_function(complex(e, eta)) for e in np.asarray(e_grid, dtype=np.float64)])
-    return np.maximum(vals.imag / np.pi, 0.0)

@@ -13,21 +13,16 @@ one row in memory at a time.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .entropy import ATOM_KINDS, AtomLaw, SeedScheme, fill_block
+from .entropy import AtomLaw, SeedScheme, fill_block
 from .numerics import SizeCapError, inv_sqrt_hermitian, lu_logdet, svd_values, unitary_complement
 
 DEFAULT_DENSE_CAP = 8192
 FRAME_DET_TOL = 1e-10
-
-_MAGIC = b"BTRD"
-_FORMAT_VERSION = 1
 
 
 class FrameNormalizationError(ValueError):
@@ -234,14 +229,14 @@ def to_dense(ensemble, z: complex, max_dense: int = DEFAULT_DENSE_CAP) -> np.nda
         m = ensemble
         _check_cap(m.size, max_dense)
         out = _dense_zeros(m.size, z, *m.diag, *m.upper, *m.lower)
-        _place_plain(out, m, offset=0)
+        _place_plain(out, m)
         _subtract_diagonal(out, z)
         return out
     if isinstance(ensemble, PeriodicEnsemble):
         m = ensemble.inner
         _check_cap(m.size, max_dense)
         out = _dense_zeros(m.size, z, *m.diag, *m.upper, *m.lower, ensemble.corner_top, ensemble.corner_bottom)
-        _place_plain(out, m, offset=0)
+        _place_plain(out, m)
         l = m.ell
         out[0:l, (m.n - 1) * l : m.n * l] = ensemble.corner_top
         out[(m.n - 1) * l : m.n * l, 0:l] = ensemble.corner_bottom
@@ -264,10 +259,10 @@ def to_dense(ensemble, z: complex, max_dense: int = DEFAULT_DENSE_CAP) -> np.nda
     raise TypeError(f"unsupported ensemble type {type(ensemble).__name__}")
 
 
-def _place_plain(out: np.ndarray, m: BlockTridiagonal, offset: int):
+def _place_plain(out: np.ndarray, m: BlockTridiagonal):
     l = m.ell
     for k in range(m.n):
-        r = offset + k * l
+        r = k * l
         out[r : r + l, r : r + l] = m.diag[k]
         if k + 1 < m.n:
             out[r : r + l, r + l : r + 2 * l] = m.upper[k]
@@ -284,61 +279,3 @@ def operator_norm_check(ensemble) -> bool:
     max_c = max(float(svd_values(b)[0]) for b in inner.lower)
     return op <= 2.0 + 10.0 * (max_a + max_b + max_c)
 
-
-def dump_ensemble(ensemble: BlockTridiagonal, path) -> None:
-    """Binary dump: header plus blocks as little-endian complex128, row-major.
-
-    Blocks of a real law are written with zero imaginary parts; `load_ensemble`
-    reads them back as float64.
-    """
-    m = ensemble
-    header = _MAGIC + struct.pack(
-        "<IQQIdQQ",
-        _FORMAT_VERSION,
-        m.n,
-        m.ell,
-        ATOM_KINDS.index(m.law.kind),
-        m.law.smoothing_exponent,
-        m.master_seed & ((1 << 64) - 1),
-        m.trial,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for group in (m.diag, m.upper, m.lower):
-            for block in group:
-                fh.write(np.ascontiguousarray(block, dtype="<c16").tobytes())
-
-
-def load_ensemble(path) -> BlockTridiagonal:
-    raw = Path(path).read_bytes()
-    if raw[:4] != _MAGIC:
-        raise ValueError("bad magic in ensemble file")
-    version, n, ell, kind_idx, smoothing, seed_u64, trial = struct.unpack(
-        "<IQQIdQQ", raw[4 : 4 + struct.calcsize("<IQQIdQQ")]
-    )
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported ensemble format version {version}")
-    law = AtomLaw(ATOM_KINDS[kind_idx], smoothing)
-    master_seed = seed_u64 - (1 << 64) if seed_u64 >= (1 << 63) else seed_u64
-    body = raw[4 + struct.calcsize("<IQQIdQQ") :]
-    block_bytes = ell * ell * 16
-    expected = 3 * n * block_bytes
-    if len(body) != expected:
-        raise ValueError("ensemble file body has wrong length")
-    data = np.frombuffer(body, dtype="<c16").reshape(3 * n, ell, ell)
-    if law.is_complex:
-        blocks = [b.astype(np.complex128) for b in data]
-    else:
-        if np.any(data.imag != 0):
-            raise ValueError("real-law ensemble file has a nonzero imaginary part")
-        blocks = [b.astype(np.float64) for b in data.real]
-    return BlockTridiagonal(
-        int(n),
-        int(ell),
-        tuple(blocks[:n]),
-        tuple(blocks[n : 2 * n]),
-        tuple(blocks[2 * n :]),
-        law,
-        int(master_seed),
-        int(trial),
-    )

@@ -27,15 +27,6 @@ from .numerics import SingularMatrixError, SizeCapError, lu_logdet, qr_thin, sol
 
 
 @dataclass(frozen=True)
-class TransferState:
-    """Orthonormal frame plus accumulated log growth after `step_index` steps."""
-
-    frame: np.ndarray
-    log_accum: float
-    step_index: int
-
-
-@dataclass(frozen=True)
 class CocycleTrace:
     increments: tuple
     total: float
@@ -69,20 +60,6 @@ def _renormalize(frame) -> tuple[np.ndarray, float]:
 def _frame_buffer(ell: int) -> np.ndarray:
     # Fortran order is the layout LAPACK's QR reads.
     return np.empty((2 * ell, ell), dtype=np.complex128, order="F")
-
-
-def apply_transfer(diag_block, upper_block, lower_block, z: complex, frame) -> np.ndarray:
-    """One un-normalized transfer application to a 2ell-by-ell frame."""
-    a = np.asarray(diag_block, dtype=np.complex128)
-    f = np.asarray(frame, dtype=np.complex128)
-    c = np.asarray(lower_block, dtype=np.complex128)
-    return _step(a, lu_logdet(upper_block), c, z, f, _frame_buffer(a.shape[0]))
-
-
-def cocycle_step(state: TransferState, diag_block, upper_block, lower_block, z: complex) -> TransferState:
-    """Renormalized step: apply, thin-QR, add log|det R| to the accumulator."""
-    q, inc = _renormalize(apply_transfer(diag_block, upper_block, lower_block, z, state.frame))
-    return TransferState(q, state.log_accum + inc, state.step_index + 1)
 
 
 def dense_transfer_matrix(diag_block, upper_block, lower_block, z: complex) -> np.ndarray:
@@ -133,7 +110,7 @@ def cocycle_trace(model, z: complex, entry_frame=None) -> CocycleTrace:
     return CocycleTrace(tuple(increments), log_start + float(np.sum(increments)))
 
 
-def _resolve_frames(model, z, exit_frame, entry_frame):
+def _resolve_frames(model, exit_frame, entry_frame):
     if isinstance(model, BorderedEnsemble):
         if exit_frame is not None or entry_frame is not None:
             raise ValueError("bordered ensembles carry their own frames")
@@ -147,7 +124,7 @@ def _resolve_frames(model, z, exit_frame, entry_frame):
 
 def _logdet_parts(model, z, exit_frame, entry_frame, renorm_every) -> tuple[float, float]:
     """(sum of log|det B_k|, projected growth) from one sweep."""
-    inner, pi, xi = _resolve_frames(model, z, exit_frame, entry_frame)
+    inner, pi, xi = _resolve_frames(model, exit_frame, entry_frame)
     frame, increments, log_start, log_b = _sweep(inner, z, xi, renorm_every)
     try:
         pairing = lu_logdet(np.asarray(pi, dtype=np.complex128) @ frame).log_magnitude
@@ -167,7 +144,7 @@ def projected_growth_log(model, z: complex, exit_frame=None, entry_frame=None, r
 
 def frame_growth_log(model, z: complex, entry_frame=None, renorm_every: int = 1) -> float:
     """log of the wedge norm of the full product applied to the entry frame."""
-    inner, _, xi = _resolve_frames(model, z, None, entry_frame)
+    inner, _, xi = _resolve_frames(model, None, entry_frame)
     _, increments, log_start, _ = _sweep(inner, z, xi, renorm_every)
     return log_start + float(np.sum(increments))
 
@@ -213,22 +190,3 @@ def plucker_coordinates(frame) -> np.ndarray:
     combos = itertools.combinations(range(m), ell)
     return np.array([np.linalg.det(f[list(rows), :]) for rows in combos])
 
-
-def subsystem_split(n: int, ell: int, d: float) -> tuple[int, list[tuple[int, int]]]:
-    """Cut [1, n] into segments of an admissible length with a long remainder.
-
-    The segment length n0 is the smallest integer in [2*ell**d, 4*ell**d]
-    leaving a remainder of at least n0/2.
-    """
-    base = float(ell) ** d
-    if n < 10 * base:
-        raise ValueError("need n >= 10 * ell**d")
-    lo = math.ceil(2 * base)
-    hi = math.floor(4 * base)
-    for n0 in range(lo, hi + 1):
-        whole = n // n0
-        if n - n0 * whole >= n0 / 2:
-            segments = [((k - 1) * n0 + 1, k * n0) for k in range(1, whole + 1)]
-            segments.append((n0 * whole + 1, n))
-            return n0, segments
-    raise ValueError("no admissible segment length in [2*ell**d, 4*ell**d]")

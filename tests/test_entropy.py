@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blocktri.entropy import ATOM_KINDS, AtomLaw, SeedScheme, fill_block, sample_atom, sample_atoms
+from blocktri.entropy import ATOM_KINDS, AtomLaw, SeedScheme, fill_block, sample_atoms
 
 # Frozen from an independent Monte Carlo of the smoothing formula
 # (2e6 draws, numpy default_rng(987654321)); analytic value 1.00039998.
@@ -71,7 +71,7 @@ def test_smoothed_rademacher_fourth_moment():
 
 def test_smoothed_rademacher_needs_ell():
     with pytest.raises(ValueError):
-        sample_atom(AtomLaw("smoothed-rademacher"), _stream())
+        sample_atoms(AtomLaw("smoothed-rademacher"), _stream(), ())
 
 
 @pytest.mark.parametrize("kind", ATOM_KINDS)

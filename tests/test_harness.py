@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blocktri
 from blocktri import harness, spectra
 from blocktri.entropy import AtomLaw
 from blocktri.harness import (
@@ -98,7 +103,7 @@ def test_emit_csv_and_json_roundtrip(tmp_path):
 
 def test_emit_header_only_for_empty_trials(tmp_path):
     record = ResultRecord({"experiment": "x"}, ["value"], [], {}, 0.0)
-    (csv_path,) = emit(record, tmp_path / "empty", formats=("csv",))
+    csv_path, _ = emit(record, tmp_path / "empty")
     assert csv_path.read_text() == "trial,seed,value,status\n"
 
 
@@ -183,6 +188,17 @@ def test_main_exit_codes(tmp_path, capsys):
         ]
     )
     assert code == EXIT_PARTIAL
+
+
+def test_python_m_blocktri_runs_the_cli_without_warnings(tmp_path):
+    out = tmp_path / "res"
+    src = str(Path(blocktri.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "blocktri", "--experiment", "ginibre", "--n", "4", "--out", str(out)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert out.with_suffix(".csv").exists() and out.with_suffix(".json").exists()
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_main_with_config_file_and_overrides(tmp_path):

@@ -5,10 +5,7 @@ from blocktri.entropy import AtomLaw, SeedScheme, fill_block
 from blocktri.harness import mde_vs_empirical
 from blocktri.mde import (
     MdeConvergenceError,
-    SelfEnergyProfile,
     chain_imag_bound,
-    density_from_stieltjes,
-    self_energy_apply,
     solve_chain,
     solve_mc,
 )
@@ -127,41 +124,6 @@ def test_solve_chain_unconverged_flag():
     assert chain.residual > 1e-13
 
 
-def test_self_energy_constant_input():
-    profile = SelfEnergyProfile(4, 2)
-    out = self_energy_apply(profile, np.ones(8))
-    assert np.allclose(out[2:6], 1.0)
-    assert np.allclose(out[:2], 2.0 / 3.0)
-    assert np.allclose(out[6:], 2.0 / 3.0)
-    assert np.allclose(profile.block_row_sums(), [2.0 / 3.0, 1.0, 1.0, 2.0 / 3.0])
-
-
-def test_self_energy_one_hot_block():
-    profile = SelfEnergyProfile(5, 3)
-    vec = np.zeros(15)
-    vec[6:9] = 1.0  # third block
-    out = self_energy_apply(profile, vec)
-    expected = np.zeros(15)
-    expected[3:12] = 1.0 / 3.0
-    assert np.allclose(out, expected)
-
-
-def test_self_energy_matches_entrywise_bruteforce():
-    rng = np.random.default_rng(0)
-    for n, ell in ((4, 2), (5, 3), (2, 1)):
-        size = n * ell
-        profile = SelfEnergyProfile(n, ell)
-        s = np.zeros((size, size))
-        for i in range(n):
-            for j in range(n):
-                if abs(i - j) <= 1:
-                    s[i * ell : (i + 1) * ell, j * ell : (j + 1) * ell] = 1.0 / (3 * ell)
-        vec = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        assert np.allclose(self_energy_apply(profile, vec), s @ vec, atol=1e-14)
-    with pytest.raises(ValueError):
-        self_energy_apply(SelfEnergyProfile(4, 2), np.ones(9))
-
-
 def test_mde_vs_empirical_far_field():
     table = mde_vs_empirical(4, [6, 8], 0.5, [1e3j], trials=3, master_seed=1)
     assert table.deviations.shape == (2, 1)
@@ -198,17 +160,15 @@ def test_bordered_vs_periodic_rank_perturbation():
     assert gap <= 24 * np.pi / ((n + 2) * xi.imag)
 
 
-def test_density_from_stieltjes_point_mass():
-    delta0 = lambda w: 1.0 / (0.0 - w)
-    dens = density_from_stieltjes(delta0, [0.0], 1.0)
-    assert dens[0] == pytest.approx(1.0 / np.pi)
-    assert np.all(dens >= 0.0)
+def _density(z, grid, eta):
+    """Stieltjes inversion of the bulk solution at height eta, clipped at 0."""
+    return np.array([max(solve_mc(complex(e, eta), z).imag, 0.0) / np.pi for e in grid])
 
 
 def test_density_integrates_to_one():
     z = 0.5
     grid = np.linspace(-0.5, (2 + z) ** 2 + 1.5, 6001)
-    dens = density_from_stieltjes(lambda w: solve_mc(w, z), grid, 1e-3)
+    dens = _density(z, grid, 1e-3)
     total = np.trapezoid(dens, grid)
     assert abs(total - 1.0) < 0.02
 
@@ -217,13 +177,8 @@ def test_density_support_window():
     z = 0.5
     edge = (2 + abs(z)) ** 2 + 1
     grid = np.linspace(edge, edge + 3.0, 61)
-    dens = density_from_stieltjes(lambda w: solve_mc(w, z), grid, 1e-3)
+    dens = _density(z, grid, 1e-3)
     assert np.max(dens) < 1e-3
-
-
-def test_density_rejects_nonpositive_eta():
-    with pytest.raises(ValueError):
-        density_from_stieltjes(lambda w: 1j, [0.0], 0.0)
 
 
 def test_mde_convergence_error_is_exception():

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -8,10 +6,8 @@ from blocktri.model import (
     BlockTridiagonal,
     FrameNormalizationError,
     build_bordered,
-    dump_ensemble,
     identity_entry_frame,
     identity_exit_frame,
-    load_ensemble,
     operator_norm_check,
     random_entry_frame,
     random_exit_frame,
@@ -166,35 +162,6 @@ def test_operator_norm_check():
         m = sample_tridiagonal(8, 8, LAW, 16, trial=t)
         b = build_bordered(m, random_exit_frame(8, rng), random_entry_frame(8, rng))
         assert operator_norm_check(b)
-
-
-def test_dump_load_roundtrip(tmp_path):
-    for law, dtype in ((AtomLaw("smoothed-rademacher", 0.5), np.float64), (LAW, np.complex128)):
-        m = sample_tridiagonal(3, 4, law, -17, trial=2)
-        path = tmp_path / "ensemble.bin"
-        dump_ensemble(m, path)
-        back = load_ensemble(path)
-        assert back.n == m.n and back.ell == m.ell
-        assert back.law == m.law
-        assert back.master_seed == m.master_seed and back.trial == m.trial
-        for a, b in zip(m.diag + m.upper + m.lower, back.diag + back.upper + back.lower):
-            assert a.dtype == b.dtype == dtype
-            assert np.array_equal(a, b)
-
-
-def test_load_rejects_imaginary_part_for_real_law(tmp_path):
-    m = sample_tridiagonal(2, 2, LAW, 3)
-    path = tmp_path / "ensemble.bin"
-    dump_ensemble(replace(m, law=AtomLaw("real-gaussian")), path)
-    with pytest.raises(ValueError, match="imaginary"):
-        load_ensemble(path)
-
-
-def test_dump_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(ValueError):
-        load_ensemble(path)
 
 
 def test_dense_size_cap():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from blocktri import model
+from blocktri import model, transfer
 from blocktri.entropy import AtomLaw, SeedScheme
 from blocktri.harness import concentration_experiment
 from blocktri.model import (
+    BlockTridiagonal,
     build_bordered,
     identity_entry_frame,
     identity_exit_frame,
@@ -15,16 +16,12 @@ from blocktri.model import (
 )
 from blocktri.numerics import SizeCapError, lu_logdet, svd_values
 from blocktri.transfer import (
-    TransferState,
-    apply_transfer,
-    cocycle_step,
     cocycle_trace,
     dense_transfer_matrix,
     frame_growth_log,
     logdet_via_transfer,
     plucker_coordinates,
     projected_growth_log,
-    subsystem_split,
     wedge_power_small,
 )
 
@@ -35,9 +32,20 @@ def _rel_close(a, b, tol):
     return abs(a - b) <= tol * max(1.0, abs(b))
 
 
+def _one_step(a, b, c, z, frame):
+    """The sweep's un-normalized transfer of `frame` through one row."""
+    frame = np.asarray(frame, dtype=complex)
+    return transfer._step(np.asarray(a), lu_logdet(b), np.asarray(c), z, frame, transfer._frame_buffer(frame.shape[1]))
+
+
+def _one_row(a, b, c):
+    """The one-row ensemble with scalar blocks a, b, c."""
+    return BlockTridiagonal(1, 1, (np.array([[a]]),), (np.array([[b]]),), (np.array([[c]]),), LAW)
+
+
 def test_apply_transfer_scalar_formula():
     a, b, c, z = 1.5 + 0.5j, 0.7 - 0.2j, -0.3j, 0.25
-    out = apply_transfer(np.array([[a]]), np.array([[b]]), np.array([[c]]), z, np.array([[1.0], [0.0]]))
+    out = _one_step([[a]], [[b]], [[c]], z, [[1.0], [0.0]])
     assert abs(out[0, 0] - (-(a - z) / b)) < 1e-14
     assert abs(out[1, 0] - 1.0) < 1e-14
 
@@ -47,7 +55,7 @@ def test_apply_transfer_shift_only():
     rng = np.random.default_rng(0)
     frame = np.vstack([np.eye(ell), rng.standard_normal((ell, ell))]).astype(complex)
     zeros = np.zeros((ell, ell))
-    out = apply_transfer(zeros, np.eye(ell), zeros, 0.0, frame)
+    out = _one_step(zeros, np.eye(ell), zeros, 0.0, frame)
     assert np.allclose(out[:ell], 0.0)
     assert np.allclose(out[ell:], frame[:ell])
 
@@ -60,44 +68,42 @@ def test_apply_transfer_matches_dense_operator():
     c = rng.standard_normal((ell, ell)) + 1j * rng.standard_normal((ell, ell))
     frame = random_entry_frame(ell, rng)
     z = 0.3 - 0.8j
-    direct = apply_transfer(a, b, c, z, frame)
+    direct = _one_step(a, b, c, z, frame)
     dense = dense_transfer_matrix(a, b, c, z) @ frame
     assert np.linalg.norm(direct - dense) < 1e-10
 
 
 def test_cocycle_step_isometry_has_zero_increment():
     z = 0.4 + 0.1j
-    a = np.array([[z]])
-    c = np.array([[np.exp(0.3j)]])
-    b = -c.conj()
-    state = TransferState(np.array([[1.0], [0.0]], dtype=complex), 0.0, 0)
-    stepped = cocycle_step(state, a, b, c, z)
-    assert abs(stepped.log_accum) < 1e-12
-    assert stepped.step_index == 1
+    c = np.exp(0.3j)
+    m = _one_row(z, -np.conj(c), c)
+    trace = cocycle_trace(m, z)
+    assert len(trace.increments) == 1
+    assert abs(trace.increments[0]) < 1e-12
+    assert abs(frame_growth_log(m, z)) < 1e-12
 
 
 def test_cocycle_step_scalar_increment():
     a, b, c, z = 1.1 - 0.3j, 0.8j, 0.5, -0.2
-    state = TransferState(np.array([[1.0], [0.0]], dtype=complex), 0.0, 0)
-    stepped = cocycle_step(state, np.array([[a]]), np.array([[b]]), np.array([[c]]), z)
     expected = 0.5 * np.log(abs((a - z) / b) ** 2 + 1.0)
-    assert abs(stepped.log_accum - expected) < 1e-12
+    assert abs(frame_growth_log(_one_row(a, b, c), z) - expected) < 1e-12
 
 
 def test_cocycle_step_gram_oracle_and_orthonormality():
     rng = np.random.default_rng(2)
-    ell = 2
-    state = TransferState(random_entry_frame(ell, rng), 0.0, 0)
-    for _ in range(5):
-        a = rng.standard_normal((ell, ell)) + 1j * rng.standard_normal((ell, ell))
-        b = rng.standard_normal((ell, ell)) + 1j * rng.standard_normal((ell, ell))
-        c = rng.standard_normal((ell, ell)) + 1j * rng.standard_normal((ell, ell))
-        y = apply_transfer(a, b, c, 0.1, state.frame)
+    ell, n, z = 2, 5, 0.1
+    xi = random_entry_frame(ell, rng)
+    rows = [tuple(rng.standard_normal((ell, ell)) + 1j * rng.standard_normal((ell, ell)) for _ in range(3)) for _ in range(n)]
+    diag, upper, lower = zip(*rows)
+    trace = cocycle_trace(BlockTridiagonal(n, ell, diag, upper, lower, LAW), z, entry_frame=xi)
+    assert len(trace.increments) == n
+    frame = xi
+    for k in range(n):
+        y = _one_step(diag[k], upper[k], lower[k], z, frame)
         gram = 0.5 * np.log(np.abs(np.linalg.det(y.conj().T @ y)))
-        stepped = cocycle_step(state, a, b, c, 0.1)
-        assert abs((stepped.log_accum - state.log_accum) - gram) < 1e-9
-        assert np.linalg.norm(stepped.frame.conj().T @ stepped.frame - np.eye(ell)) < 1e-10
-        state = stepped
+        assert abs(trace.increments[k] - gram) < 1e-9
+        frame, _ = transfer._renormalize(y)
+        assert np.linalg.norm(frame.conj().T @ frame - np.eye(ell)) < 1e-10
 
 
 def test_cocycle_trace_total_matches_increment_sum():
@@ -228,32 +234,6 @@ def test_frame_cocycle_matches_wedge_norm():
             product = dense_transfer_matrix(m.diag[k], m.upper[k], m.lower[k], 0.5) @ product
         wedge_vec = wedge_power_small(product, ell) @ plucker_coordinates(xi)
         assert abs(total - np.log(np.linalg.norm(wedge_vec))) < 1e-8
-
-
-def test_subsystem_split_examples():
-    n0, segments = subsystem_split(100, 16, 0.25)
-    assert 4 <= n0 <= 8
-    assert 100 - n0 * (100 // n0) >= n0 / 2
-    # exhaustive scan oracle: smallest admissible candidate
-    base = 16**0.25
-    valid = [
-        k
-        for k in range(int(np.ceil(2 * base)), int(np.floor(4 * base)) + 1)
-        if 100 - k * (100 // k) >= k / 2
-    ]
-    assert n0 == valid[0] == 6
-    # segments tile [1, 100] disjointly
-    covered = []
-    for lo, hi in segments:
-        covered.extend(range(lo, hi + 1))
-    assert covered == list(range(1, 101))
-    assert segments[-1][1] - segments[-1][0] + 1 >= n0 / 2
-
-    n0_exact, _ = subsystem_split(20, 16, 0.25)  # n equal to the 10 * ell**d floor
-    assert n0_exact == 7
-
-    with pytest.raises(ValueError):
-        subsystem_split(9, 16, 0.25)
 
 
 def test_concentration_identical_streams_zero_variance():
