@@ -3,7 +3,7 @@ trial orchestration, CSV/JSON output, CLI, and the library drivers built on
 the same kernels.
 
 Every trial is a pure function of (config, trial index), so records are
-reproducible under a fixed master seed regardless of the worker count.
+reproducible under a fixed master seed.
 Failed trials are recorded with NaN values instead of aborting the batch.
 Kernels look library functions up in this module's globals at call time, so
 a tracer that patches module attributes sees every call.
@@ -12,7 +12,6 @@ a tracer that patches module attributes sees every call.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import time
@@ -151,7 +150,6 @@ class ExperimentConfig:
     master_seed: int = field(default=0, metadata={"flag": "--seed"})
     max_dense: int = DEFAULT_DENSE_CAP
     out: str | None = field(default=None, metadata={"echo": False})
-    workers: int = 1
     xi: complex = 2 + 1j
     threshold: float | None = None
 
@@ -165,10 +163,9 @@ class ExperimentConfig:
             raise ConfigError("dimensions must be positive")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         try:
             self.law()
+            SeedScheme(self.master_seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.threshold is not None and self.threshold < 0:
@@ -182,8 +179,17 @@ class ExperimentConfig:
         return {key.name: key.get(self) for key in KEYS if key.field.metadata.get("echo", True)}
 
 
+def _integer(raw) -> int:
+    """int(raw), refusing a bool and a fraction that int() would truncate."""
+    if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"{raw!r} is not an integer")
+    return int(raw)
+
+
 # Parser of each ExperimentConfig annotation; a complex field parses each part.
-_PARSERS = {"str": str, "int": int, "float": float, "complex": float, "str | None": str, "float | None": float}
+_PARSERS = {
+    "str": str, "int": _integer, "float": float, "complex": float, "str | None": str, "float | None": float
+}
 
 
 class ConfigKey(NamedTuple):
@@ -194,10 +200,6 @@ class ConfigKey(NamedTuple):
     field: Field
     part: str | None = None
 
-    @property
-    def parse(self):
-        return _PARSERS[self.field.type]
-
     def get(self, config: ExperimentConfig):
         value = getattr(config, self.field.name)
         return getattr(value, self.part) if self.part else value
@@ -205,7 +207,7 @@ class ConfigKey(NamedTuple):
     def set(self, config: ExperimentConfig, raw) -> None:
         """Parse and store one value; a complex part leaves the other part as it is."""
         try:
-            value = None if raw is None and self.field.default is None else self.parse(raw)
+            value = None if raw is None and self.field.default is None else _PARSERS[self.field.type](raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {self.name}: {exc}") from None
         if self.part:
@@ -278,20 +280,13 @@ def run(config: ExperimentConfig) -> ResultRecord:
     scheme = SeedScheme(config.master_seed)
     start = time.perf_counter()
 
-    def one(trial: int) -> TrialResult:
-        label = scheme.trial_seed(trial)
+    trials = []
+    for trial in range(config.trials):
         try:
-            values = dict(zip(columns, kernel(config, trial), strict=True))
-            return TrialResult(trial, label, values)
+            values, status, error = dict(zip(columns, kernel(config, trial), strict=True)), "ok", None
         except (NumericsError, np.linalg.LinAlgError, MdeConvergenceError) as exc:
-            values = {col: float("nan") for col in columns}
-            return TrialResult(trial, label, values, status="failed", error=str(exc))
-
-    if config.workers == 1:
-        trials = [one(t) for t in range(config.trials)]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=config.workers) as pool:
-            trials = list(pool.map(one, range(config.trials)))
+            values, status, error = {col: float("nan") for col in columns}, "failed", str(exc)
+        trials.append(TrialResult(trial, scheme.trial_seed(trial), values, status, error))
     wall = time.perf_counter() - start
     return ResultRecord(config.echo(), list(columns), trials, _aggregate(columns, trials), wall)
 
@@ -333,10 +328,6 @@ class StieltjesDeviationTable:
     xi_values: tuple
     deviations: np.ndarray
     bulk_values: tuple
-
-    def decreasing_in_ell(self, xi_index: int = 0) -> bool:
-        col = self.deviations[:, xi_index]
-        return bool(np.all(np.diff(col) < 0))
 
 
 def _driver_config(experiment: str, law: AtomLaw | None, master_seed: int, **values) -> ExperimentConfig:
@@ -412,16 +403,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="blocktri", description="Block tridiagonal ensemble experiments")
     p.add_argument("--config", help="JSON config file; flags override its fields")
     for key in KEYS:
-        p.add_argument(key.flag, dest=key.name, type=key.parse, choices=key.field.metadata.get("choices"))
+        p.add_argument(key.flag, dest=key.name, choices=key.field.metadata.get("choices"))
     return p
 
 
-def load_config(path) -> ExperimentConfig:
-    data = json.loads(Path(path).read_text())
-    return config_from_dict(data)
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
     keys = {key.name: key for key in KEYS}
     unknown = set(data) - set(keys)
     if unknown:
@@ -435,18 +423,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    path = args.pop("config")
     try:
-        if args.config:
-            config = load_config(args.config)
-        elif args.experiment:
-            config = ExperimentConfig(experiment=args.experiment)
-        else:
-            raise ConfigError("need --config or --experiment")
-        for key in KEYS:
-            value = getattr(args, key.name)
-            if value is not None:
-                key.set(config, value)
+        data = json.loads(Path(path).read_text()) if path else {}
+        flags = {name: value for name, value in args.items() if value is not None}
+        config = config_from_dict(data | flags if isinstance(data, dict) else data)
         config.validate()
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}")

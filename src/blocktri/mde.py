@@ -31,9 +31,9 @@ def _defining_residual(m, w: complex, z: complex):
     return np.abs(1.0 / m + w * (1.0 + m) - az2 / (1.0 + m))
 
 
-def _newton_root(m: complex, w: complex, z: complex, steps: int = 80) -> complex:
+def _newton_root(m: complex, w: complex, z: complex) -> complex:
     c3, c2, c1, c0 = _cubic_coeffs(w, z)
-    for _ in range(steps):
+    for _ in range(80):
         f = ((c3 * m + c2) * m + c1) * m + c0
         fp = (3 * c3 * m + 2 * c2) * m + c1
         if fp == 0:

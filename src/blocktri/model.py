@@ -38,9 +38,6 @@ class BlockTridiagonal:
     diag: tuple
     upper: tuple
     lower: tuple
-    law: AtomLaw
-    master_seed: int = 0
-    trial: int = 0
 
     @property
     def size(self) -> int:
@@ -133,9 +130,8 @@ def sample_rows(n: int, ell: int, law: AtomLaw, seed, trial: int = 0):
 
 def sample_tridiagonal(n: int, ell: int, law: AtomLaw, seed, trial: int = 0) -> BlockTridiagonal:
     """Sample all 3n blocks through disjoint (trial, block, role) streams."""
-    scheme = _as_scheme(seed)
-    diag, upper, lower = zip(*sample_rows(n, ell, law, scheme, trial))
-    return BlockTridiagonal(n, ell, diag, upper, lower, law, scheme.master_seed, trial)
+    diag, upper, lower = zip(*sample_rows(n, ell, law, seed, trial))
+    return BlockTridiagonal(n, ell, diag, upper, lower)
 
 
 def sample_periodic(n: int, ell: int, law: AtomLaw, seed, trial: int = 0) -> PeriodicEnsemble:
@@ -200,73 +196,40 @@ def build_bordered(inner: BlockTridiagonal, exit_frame, entry_frame) -> Bordered
     return BorderedEnsemble(inner, top_row, bottom_row, pi, xi)
 
 
-def _check_cap(size: int, max_dense: int):
-    if size > max_dense:
-        raise SizeCapError(f"dense size {size} exceeds cap {max_dense}")
-
-
-def _dense_zeros(size: int, z: complex, *blocks) -> np.ndarray:
-    """Zero matrix of float64 when z and every block are real, complex128 otherwise."""
-    real = z.imag == 0 and not any(np.iscomplexobj(b) for b in blocks)
-    return np.zeros((size, size), dtype=np.float64 if real else np.complex128)
-
-
-def _subtract_diagonal(out: np.ndarray, z: complex):
-    i = np.arange(out.shape[0])
-    out[i, i] -= z if np.iscomplexobj(out) else z.real
-
-
 def to_dense(ensemble, z: complex, max_dense: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     """Dense realization of the shifted matrix.
 
     Plain and periodic ensembles subtract z on the whole diagonal; the
-    bordered ensemble subtracts z only on the middle n block rows. A plain or
-    periodic matrix is float64 when z and every block are real, and complex128
-    otherwise; the bordered matrix, whose frame rows are complex, is complex128.
+    bordered ensemble subtracts z only on the middle n block rows. The matrix is
+    float64 when z and every placed block are real, and complex128 otherwise; a
+    bordered matrix, whose frame rows are complex, is complex128.
     """
     z = complex(z)
-    if isinstance(ensemble, BlockTridiagonal):
-        m = ensemble
-        _check_cap(m.size, max_dense)
-        out = _dense_zeros(m.size, z, *m.diag, *m.upper, *m.lower)
-        _place_plain(out, m)
-        _subtract_diagonal(out, z)
-        return out
+    if not isinstance(ensemble, (BlockTridiagonal, PeriodicEnsemble, BorderedEnsemble)):
+        raise TypeError(f"unsupported ensemble type {type(ensemble).__name__}")
+    if ensemble.size > max_dense:
+        raise SizeCapError(f"dense size {ensemble.size} exceeds cap {max_dense}")
+    m = getattr(ensemble, "inner", ensemble)
+    n, l = m.n, m.ell
+    o = int(isinstance(ensemble, BorderedEnsemble))  # block offset of the plain part
+    # (block row, block column, block)
+    placed = [(o + k, o + k, m.diag[k]) for k in range(n)]
+    placed += [(o + k, o + k + 1, m.upper[k]) for k in range(n - 1)]
+    placed += [(o + k + 1, o + k, m.lower[k + 1]) for k in range(n - 1)]
     if isinstance(ensemble, PeriodicEnsemble):
-        m = ensemble.inner
-        _check_cap(m.size, max_dense)
-        out = _dense_zeros(m.size, z, *m.diag, *m.upper, *m.lower, ensemble.corner_top, ensemble.corner_bottom)
-        _place_plain(out, m)
-        l = m.ell
-        out[0:l, (m.n - 1) * l : m.n * l] = ensemble.corner_top
-        out[(m.n - 1) * l : m.n * l, 0:l] = ensemble.corner_bottom
-        _subtract_diagonal(out, z)
-        return out
+        placed += [(0, n - 1, ensemble.corner_top), (n - 1, 0, ensemble.corner_bottom)]
     if isinstance(ensemble, BorderedEnsemble):
-        m = ensemble.inner
-        size = ensemble.size
-        _check_cap(size, max_dense)
-        l = m.ell
-        out = np.zeros((size, size), dtype=np.complex128)
-        out[0:l, 0 : 2 * l] = ensemble.top_row
-        for k in range(m.n):
-            r = (k + 1) * l
-            out[r : r + l, k * l : (k + 1) * l] = m.lower[k]
-            out[r : r + l, (k + 1) * l : (k + 2) * l] = m.diag[k] - z * np.eye(l)
-            out[r : r + l, (k + 2) * l : (k + 3) * l] = m.upper[k]
-        out[size - l :, size - 2 * l :] = ensemble.bottom_row
-        return out
-    raise TypeError(f"unsupported ensemble type {type(ensemble).__name__}")
-
-
-def _place_plain(out: np.ndarray, m: BlockTridiagonal):
-    l = m.ell
-    for k in range(m.n):
-        r = k * l
-        out[r : r + l, r : r + l] = m.diag[k]
-        if k + 1 < m.n:
-            out[r : r + l, r + l : r + 2 * l] = m.upper[k]
-            out[r + l : r + 2 * l, r : r + l] = m.lower[k + 1]
+        top, bottom = ensemble.top_row, ensemble.bottom_row
+        placed += [(0, 0, top[:, :l]), (0, 1, top[:, l:]), (1, 0, m.lower[0]), (n, n + 1, m.upper[n - 1])]
+        placed += [(n + 1, n, bottom[:, :l]), (n + 1, n + 1, bottom[:, l:])]
+    real = z.imag == 0 and not any(np.iscomplexobj(b) for _, _, b in placed)
+    out = np.zeros((ensemble.size, ensemble.size), dtype=np.float64 if real else np.complex128)
+    blocks = out.reshape(ensemble.size // l, l, ensemble.size // l, l)  # a view: [r, :, c] is block (r, c)
+    for r, c, b in placed:
+        blocks[r, :, c] = b
+    i = np.arange(o * l, (o + n) * l)
+    out[i, i] -= z.real if real else z
+    return out
 
 
 def operator_norm_check(ensemble) -> bool:

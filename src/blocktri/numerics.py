@@ -50,14 +50,14 @@ def _as_array(m) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LogDetResult:
-    """Natural log of |det| plus an optional unit-modulus phase.
+    """Natural log of |det| plus a unit-modulus phase.
 
     `lu_logdet` also keeps the LU factors it computed, so `solve` can reuse
     them for systems with the same matrix.
     """
 
     log_magnitude: float
-    sign_phase: complex | None = None
+    sign_phase: complex
     factors: tuple | None = field(default=None, repr=False, compare=False)
 
     def solve(self, rhs) -> np.ndarray:
@@ -192,11 +192,11 @@ def unitary_complement(q_minus) -> np.ndarray:
     return full[:, k:]
 
 
-def inv_sqrt_hermitian(h, floor: float = PIVOT_FLOOR) -> np.ndarray:
+def inv_sqrt_hermitian(h) -> np.ndarray:
     """H**(-1/2) for Hermitian positive definite H, eigenvalue-floored."""
     a = _as_square(h)
     a = (a + a.conj().T) / 2
     w, v = np.linalg.eigh(a)
-    if np.any(w < floor):
+    if np.any(w < PIVOT_FLOOR):
         raise SingularMatrixError("eigenvalue below floor in inverse square root")
     return (v / np.sqrt(w)) @ v.conj().T

@@ -36,16 +36,11 @@ def _strip_wall(record):
     return d
 
 
-def test_run_deterministic_and_worker_invariant():
+def test_run_deterministic():
     cfg = ExperimentConfig("logdet-identity", n=4, ell=3, z=0.5 + 0.5j, trials=6, master_seed=42)
     first = run(cfg)
     second = run(cfg)
     assert _strip_wall(first) == _strip_wall(second)
-    cfg_workers = ExperimentConfig("logdet-identity", n=4, ell=3, z=0.5 + 0.5j, trials=6, master_seed=42, workers=3)
-    third = run(cfg_workers)
-    d3 = _strip_wall(third)
-    d3["config"]["workers"] = 1
-    assert d3 == _strip_wall(first)
 
 
 def test_single_trial_aggregate_equals_value():
@@ -120,6 +115,14 @@ def test_config_validation_errors():
         config_from_dict({"experiment": "esd", "tol": 1e-8})
     with pytest.raises(ConfigError):
         config_from_dict({"experiment": "esd", "n": None})
+    for not_an_object in (None, 5, ["esd"]):
+        with pytest.raises(ConfigError, match="JSON object"):
+            config_from_dict(not_an_object)
+    # int fields refuse what int() would truncate, and keep integral values
+    for key, value in (("n", 2.7), ("trials", True), ("trials", 1.9), ("ell", "2.5")):
+        with pytest.raises(ConfigError, match=f"bad value for {key}"):
+            config_from_dict({"experiment": "ginibre", key: value})
+    assert config_from_dict({"experiment": "ginibre", "n": 3.0, "trials": "4"}).trials == 4
 
 
 @pytest.mark.parametrize(
@@ -128,6 +131,7 @@ def test_config_validation_errors():
         {"experiment": "rigidity", "threshold": -1.0},
         {"experiment": "rigidity", "smoothing_exponent": -1.0},
         {"experiment": "mde-compare", "n": 2},
+        {"experiment": "ginibre", "master_seed": 2**64},
     ],
 )
 def test_bad_values_are_config_errors_before_any_trial(tmp_path, bad):
@@ -169,6 +173,11 @@ def test_main_exit_codes(tmp_path, capsys):
 
     assert main(["--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
     assert main([]) == EXIT_CONFIG
+    cfg_path = tmp_path / "c.json"
+    for text in ("null", "5", json.dumps({"experiment": "ginibre", "n": 2.7})):
+        cfg_path.write_text(text)
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "refused")]) == EXIT_CONFIG
+    assert not (tmp_path / "refused.json").exists()
 
     bad = tmp_path / "partial"
     code = main(
@@ -235,7 +244,6 @@ def _all_fields_set(tmp_path):
         master_seed=5,
         max_dense=64,
         out=str(tmp_path / "all"),
-        workers=2,
         xi=1.5 + 0.75j,
         threshold=0.3,
     )
@@ -250,7 +258,7 @@ def test_config_round_trips_through_echo_and_flags(tmp_path):
     flags = [
         "--experiment", "rigidity", "--n", "3", "--ell", "2", "--z-re", "0.25", "--z-im", "-0.5",
         "--law", "smoothed-rademacher", "--smoothing-exponent", "2.0", "--trials", "2", "--seed", "5",
-        "--max-dense", "64", "--out", cfg.out, "--workers", "2", "--xi-re", "1.5", "--xi-im", "0.75",
+        "--max-dense", "64", "--out", cfg.out, "--xi-re", "1.5", "--xi-im", "0.75",
         "--threshold", "0.3",
     ]  # fmt: skip
     assert main(flags) == EXIT_OK

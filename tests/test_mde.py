@@ -147,7 +147,6 @@ def test_bordered_vs_periodic_rank_perturbation():
         (first[0],) + inner.diag + (last[0],),
         (first[1],) + inner.upper + (last[1],),
         (first[2],) + inner.lower + (last[2],),
-        LAW,
     )
     periodic = PeriodicEnsemble(
         wide,

@@ -4,7 +4,9 @@ import pytest
 from blocktri.entropy import AtomLaw, SeedScheme
 from blocktri.model import (
     BlockTridiagonal,
+    BorderedEnsemble,
     FrameNormalizationError,
+    PeriodicEnsemble,
     build_bordered,
     identity_entry_frame,
     identity_exit_frame,
@@ -22,7 +24,7 @@ LAW = AtomLaw("complex-gaussian")
 
 def _zero_model(n, ell):
     z = tuple(np.zeros((ell, ell), dtype=complex) for _ in range(n))
-    return BlockTridiagonal(n, ell, z, z, z, LAW)
+    return BlockTridiagonal(n, ell, z, z, z)
 
 
 def test_sample_shapes_and_size():
@@ -168,3 +170,51 @@ def test_dense_size_cap():
     m = sample_tridiagonal(4, 4, LAW, 18)
     with pytest.raises(SizeCapError):
         to_dense(m, 0.0, max_dense=8)
+
+
+def _expected_blocks(ens):
+    """Nonzero blocks of the unshifted dense matrix by (block row, block column), and the shifted rows."""
+    m = getattr(ens, "inner", ens)
+    n, l = m.n, m.ell
+    if isinstance(ens, BorderedEnsemble):
+        blocks = {(0, 0): ens.top_row[:, :l], (0, 1): ens.top_row[:, l:]}
+        blocks |= {(n + 1, n): ens.bottom_row[:, :l], (n + 1, n + 1): ens.bottom_row[:, l:]}
+        for k in range(n):
+            blocks |= {(k + 1, k): m.lower[k], (k + 1, k + 1): m.diag[k], (k + 1, k + 2): m.upper[k]}
+        return blocks, range(1, n + 1)
+    blocks = {(k, k): m.diag[k] for k in range(n)}
+    blocks |= {(k, k + 1): m.upper[k] for k in range(n - 1)}
+    blocks |= {(k + 1, k): m.lower[k + 1] for k in range(n - 1)}
+    if isinstance(ens, PeriodicEnsemble):
+        blocks |= {(0, n - 1): ens.corner_top, (n - 1, 0): ens.corner_bottom}
+    return blocks, range(n)
+
+
+@pytest.mark.parametrize(
+    "kind, n, ell",
+    [(kind, n, ell) for kind in ("plain", "bordered") for n, ell in ((1, 1), (2, 3), (4, 2))]
+    + [("periodic", 3, 2), ("periodic", 4, 2)],
+)
+def test_dense_places_every_block_and_shifts_the_named_rows(kind, n, ell):
+    if kind == "periodic":
+        ens = sample_periodic(n, ell, LAW, 19)
+    else:
+        ens = sample_tridiagonal(n, ell, LAW, 19)
+    if kind == "bordered":
+        rng = np.random.default_rng(20)
+        ens = build_bordered(ens, random_exit_frame(ell, rng), random_entry_frame(ell, rng))
+    blocks, shifted = _expected_blocks(ens)
+    z = 0.5 - 0.25j
+    dense = to_dense(ens, z)
+    assert dense.shape == (ens.size, ens.size)
+    for i in range(ens.size // ell):
+        for j in range(ens.size // ell):
+            want = blocks.get((i, j), np.zeros((ell, ell)))
+            if i == j and i in shifted:
+                want = want - z * np.eye(ell)
+            assert np.array_equal(dense[i * ell : (i + 1) * ell, j * ell : (j + 1) * ell], want), (i, j)
+    if kind == "bordered":
+        with pytest.raises(SizeCapError):
+            to_dense(ens, z, max_dense=n * ell)
+    else:
+        assert to_dense(ens, z, max_dense=n * ell).shape == dense.shape

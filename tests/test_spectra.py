@@ -36,7 +36,7 @@ def _measure(values):
 
 def _zero_model(n, ell):
     z = tuple(np.zeros((ell, ell), dtype=complex) for _ in range(n))
-    return BlockTridiagonal(n, ell, z, z, z, LAW)
+    return BlockTridiagonal(n, ell, z, z, z)
 
 
 def test_singular_values_trivial_cases():
@@ -151,7 +151,6 @@ def test_esd_block_diagonal_degenerate():
         model.diag,
         tuple(np.zeros((2, 2), dtype=complex) for _ in range(3)),
         tuple(np.zeros((2, 2), dtype=complex) for _ in range(3)),
-        LAW,
     )
     summary = esd(diag_only)
     expected = np.concatenate([np.linalg.eigvals(b) for b in model.diag])

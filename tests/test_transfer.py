@@ -40,7 +40,7 @@ def _one_step(a, b, c, z, frame):
 
 def _one_row(a, b, c):
     """The one-row ensemble with scalar blocks a, b, c."""
-    return BlockTridiagonal(1, 1, (np.array([[a]]),), (np.array([[b]]),), (np.array([[c]]),), LAW)
+    return BlockTridiagonal(1, 1, (np.array([[a]]),), (np.array([[b]]),), (np.array([[c]]),))
 
 
 def test_apply_transfer_scalar_formula():
@@ -95,7 +95,7 @@ def test_cocycle_step_gram_oracle_and_orthonormality():
     xi = random_entry_frame(ell, rng)
     rows = [tuple(rng.standard_normal((ell, ell)) + 1j * rng.standard_normal((ell, ell)) for _ in range(3)) for _ in range(n)]
     diag, upper, lower = zip(*rows)
-    trace = cocycle_trace(BlockTridiagonal(n, ell, diag, upper, lower, LAW), z, entry_frame=xi)
+    trace = cocycle_trace(BlockTridiagonal(n, ell, diag, upper, lower), z, entry_frame=xi)
     assert len(trace.increments) == n
     frame = xi
     for k in range(n):
