@@ -41,7 +41,6 @@ from .transfer import (
     CocycleTrace,
     cocycle_trace,
     dense_transfer_matrix,
-    frame_growth_log,
     logdet_via_transfer,
     plucker_coordinates,
     projected_growth_log,

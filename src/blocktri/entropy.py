@@ -40,7 +40,7 @@ class AtomLaw:
     def __post_init__(self):
         if self.kind not in ATOM_KINDS:
             raise ValueError(f"unknown atom law kind {self.kind!r}")
-        if self.smoothing_exponent < 0:
+        if not self.smoothing_exponent >= 0:
             raise ValueError("smoothing exponent must be nonnegative")
 
     @property

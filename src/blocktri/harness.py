@@ -159,10 +159,15 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
+        for name, value in vars(self).items():
+            if isinstance(value, (float, complex)) and not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite")
         if self.n < 1 or self.ell < 1:
             raise ConfigError("dimensions must be positive")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.max_dense < 1:
+            raise ConfigError("max_dense must be >= 1")
         try:
             self.law()
             SeedScheme(self.master_seed)
@@ -292,10 +297,10 @@ def run(config: ExperimentConfig) -> ResultRecord:
 
 
 def emit(record: ResultRecord, out_base) -> list:
-    """Write the record as CSV (one row per trial) and JSON (the full record)."""
+    """Write ``<out_base>.csv`` (one row per trial) and ``<out_base>.json`` (the full record)."""
     base = Path(out_base)
     base.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = base.with_suffix(".csv")
+    csv_path, json_path = Path(f"{base}.csv"), Path(f"{base}.json")
     lines = [",".join(["trial", "seed"] + list(record.columns) + ["status"])]
     for t in record.trials:
         cells = [str(t.index), str(t.seed)]
@@ -303,7 +308,6 @@ def emit(record: ResultRecord, out_base) -> list:
         cells.append(t.status)
         lines.append(",".join(cells))
     csv_path.write_text("\n".join(lines) + "\n")
-    json_path = base.with_suffix(".json")
     json_path.write_text(json.dumps(record.to_jsonable(), indent=2, allow_nan=True) + "\n")
     return [csv_path, json_path]
 
@@ -330,12 +334,6 @@ class StieltjesDeviationTable:
     bulk_values: tuple
 
 
-def _driver_config(experiment: str, law: AtomLaw | None, master_seed: int, **values) -> ExperimentConfig:
-    if law is not None:
-        values.update(law_kind=law.kind, smoothing_exponent=law.smoothing_exponent)
-    return ExperimentConfig(experiment, master_seed=master_seed, **values)
-
-
 def concentration_experiment(
     n: int,
     ell: int,
@@ -356,7 +354,10 @@ def concentration_experiment(
     counts = tuple(n * 2**j for j in range(doublings + 1))
     values = []
     for level, n_level in enumerate(counts):
-        config = _driver_config("concentration", law, master_seed, n=n_level, ell=ell, z=z)
+        config = ExperimentConfig(
+            "concentration", n=n_level, ell=ell, z=z, law_kind=law.kind,
+            smoothing_exponent=law.smoothing_exponent, master_seed=master_seed,
+        )
         values.append(tuple(_concentration(config, level * trials + t)[0] for t in range(trials)))
     means = tuple(float(np.mean(v)) for v in values)
     stds = tuple(float(np.std(v, ddof=1)) for v in values)
@@ -364,9 +365,9 @@ def concentration_experiment(
     return ConcentrationSummary(counts, means, stds, decreasing, tuple(values))
 
 
-def ginibre_logdet_check(n: int, trials: int, *, law: AtomLaw | None = None, master_seed: int = 0) -> float:
-    """Mean over trials of (1/n) log|det((3n)^{-1/2} A)| for an i.i.d. square matrix."""
-    config = _driver_config("ginibre", law, master_seed, n=n)
+def ginibre_logdet_check(n: int, trials: int, *, master_seed: int = 0) -> float:
+    """Mean over trials of (1/n) log|det((3n)^{-1/2} A)| for a complex Gaussian square matrix."""
+    config = ExperimentConfig("ginibre", n=n, master_seed=master_seed)
     return float(np.mean([_ginibre(config, t)[0] for t in range(trials)]))
 
 
@@ -377,7 +378,6 @@ def mde_vs_empirical(
     xi_grid,
     trials: int,
     *,
-    law: AtomLaw | None = None,
     master_seed: int = 0,
 ) -> StieltjesDeviationTable:
     """Trial-averaged empirical transform of the periodic ensemble against the bulk solution.
@@ -390,7 +390,7 @@ def mde_vs_empirical(
     bulk = tuple(solve_mc(xi, z) for xi in xi_values)
     table = np.empty((len(ells), len(xi_values)))
     for i, ell in enumerate(ells):
-        config = _driver_config("mde-compare", law, master_seed, n=n, ell=ell, z=z)
+        config = ExperimentConfig("mde-compare", n=n, ell=ell, z=z, master_seed=master_seed)
         sums = np.zeros(len(xi_values), dtype=np.complex128)
         for t in range(trials):
             measure = _periodic_measure(config, i * trials + t)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DAMPING_FLOOR = 2.0**-10
+MC_RESIDUAL_TOL = 1e-12
 
 
 class MdeConvergenceError(RuntimeError):
@@ -45,7 +46,7 @@ def _newton_root(m: complex, w: complex, z: complex) -> complex:
     return m
 
 
-def solve_mc(w: complex, z: complex, tol: float = 1e-12) -> complex:
+def solve_mc(w: complex, z: complex) -> complex:
     """Upper-half-plane solution of the bulk self-consistency equation.
 
     Tracked from the large-|w| asymptote -1/w by continuation in the
@@ -62,7 +63,7 @@ def solve_mc(w: complex, z: complex, tol: float = 1e-12) -> complex:
         m = _newton_root(m, complex(w.real, eta), z)
     m = _newton_root(m, w, z)
     res = float(_defining_residual(m, w, z))
-    if m.imag <= 0 or not np.isfinite(res) or res > tol:
+    if m.imag <= 0 or not np.isfinite(res) or res > MC_RESIDUAL_TOL:
         raise MdeConvergenceError(f"no admissible root at w={w}, z={z} (residual {res:.3e})")
     return m
 

@@ -58,13 +58,24 @@ class LogDetResult:
 
     log_magnitude: float
     sign_phase: complex
-    factors: tuple | None = field(default=None, repr=False, compare=False)
+    factors: tuple = field(repr=False, compare=False)
 
     def solve(self, rhs) -> np.ndarray:
         """Solve M X = RHS with the kept LU factors of M."""
-        if self.factors is None:
-            raise ValueError("no LU factors kept")
-        return _lu_solve(*self.factors, _as_array(rhs))
+        lu, piv = self.factors
+        r = _as_array(rhs)
+        if lu.shape[0] != r.shape[0]:
+            raise ValueError("shapes of the LU factors and the right-hand side do not match")
+        if r.size == 0:
+            return np.empty_like(r, dtype=np.result_type(lu, r))
+        (getrs,) = get_lapack_funcs(("getrs",), (lu, r))
+        # The getrs wrapper shifts the pivots to 1-based in place with the GIL
+        # released, so every call gets its own copy: factors shared by several
+        # threads (one ensemble's upper_factors, say) would be corrupted otherwise.
+        x, info = getrs(lu, piv.copy(), r)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of getrs")
+        return x
 
 
 def _as_square(m) -> np.ndarray:
@@ -74,43 +85,20 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
-def _checked_lu(a: np.ndarray):
+def lu_logdet(m) -> LogDetResult:
+    """log|det M| from LU pivot magnitudes, never forming the determinant."""
+    a = _as_square(m)
     if a.shape[0] == 0:
-        return np.empty_like(a), np.zeros(0, dtype=np.int32)
+        return LogDetResult(0.0, 1.0 + 0.0j, (np.empty_like(a), np.zeros(0, dtype=np.int32)))
     (getrf,) = get_lapack_funcs(("getrf",), (a,))
     lu, piv, info = getrf(a)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf")
     # info > 0 flags an exact zero pivot, which the floor below also catches.
-    pivots = np.abs(np.diagonal(lu))
-    if not np.all(np.isfinite(pivots)) or np.any(pivots < PIVOT_FLOOR):
-        raise SingularMatrixError("pivot magnitude below floor")
-    return lu, piv
-
-
-def _lu_solve(lu: np.ndarray, piv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    if lu.shape[0] != rhs.shape[0]:
-        raise ValueError("shapes of the LU factors and the right-hand side do not match")
-    if rhs.size == 0:
-        return np.empty_like(rhs, dtype=np.result_type(lu, rhs))
-    (getrs,) = get_lapack_funcs(("getrs",), (lu, rhs))
-    # The getrs wrapper shifts the pivots to 1-based in place with the GIL
-    # released, so every call gets its own copy: factors shared by several
-    # threads (one ensemble's upper_factors, say) would be corrupted otherwise.
-    x, info = getrs(lu, piv.copy(), rhs)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of getrs")
-    return x
-
-
-def lu_logdet(m) -> LogDetResult:
-    """log|det M| from LU pivot magnitudes, never forming the determinant."""
-    a = _as_square(m)
-    if a.shape[0] == 0:
-        return LogDetResult(0.0, 1.0 + 0.0j)
-    lu, piv = _checked_lu(a)
     d = np.diagonal(lu)
     mags = np.abs(d)
+    if not np.all(np.isfinite(mags)) or np.any(mags < PIVOT_FLOOR):
+        raise SingularMatrixError("pivot magnitude below floor")
     log_magnitude = float(np.sum(np.log(mags)))
     swaps = int(np.count_nonzero(piv != np.arange(len(piv))))
     phase = complex(np.prod(d / mags)) * (-1.0) ** swaps
@@ -119,9 +107,7 @@ def lu_logdet(m) -> LogDetResult:
 
 def solve_lu(b, rhs) -> np.ndarray:
     """Solve B X = RHS through one LU factorization of B."""
-    a = _as_square(b)
-    r = _as_array(rhs)
-    return _lu_solve(*_checked_lu(a), r)
+    return lu_logdet(b).solve(rhs)
 
 
 def qr_thin(m) -> tuple[np.ndarray, np.ndarray]:

@@ -103,10 +103,12 @@ def _sweep(model, z: complex, entry_frame, renorm_every: int = 1):
 
 
 def cocycle_trace(model, z: complex, entry_frame=None) -> CocycleTrace:
-    """Per-step growth increments for a normalized entry frame."""
-    if entry_frame is None:
-        entry_frame = identity_entry_frame(model.ell)
-    _, increments, log_start, _ = _sweep(model, z, entry_frame)
+    """Per-step growth increments for a normalized entry frame (a bordered ensemble's own).
+
+    `total` is the log wedge norm of the full product applied to the entry frame.
+    """
+    inner, _, xi = _resolve_frames(model, None, entry_frame)
+    _, increments, log_start, _ = _sweep(inner, z, xi)
     return CocycleTrace(tuple(increments), log_start + float(np.sum(increments)))
 
 
@@ -133,23 +135,16 @@ def _logdet_parts(model, z, exit_frame, entry_frame, renorm_every) -> tuple[floa
     return log_b, log_start + float(np.sum(increments)) + pairing
 
 
-def projected_growth_log(model, z: complex, exit_frame=None, entry_frame=None, renorm_every: int = 1) -> float:
+def projected_growth_log(model, z: complex, exit_frame=None, entry_frame=None) -> float:
     """log|det(exit . product of transfer operators . entry)|.
 
     Returns -inf when the final pairing underflows the pivot floor; that is a
     legitimate outcome at near-singular shifts, not an error.
     """
-    return _logdet_parts(model, z, exit_frame, entry_frame, renorm_every)[1]
+    return _logdet_parts(model, z, exit_frame, entry_frame, 1)[1]
 
 
-def frame_growth_log(model, z: complex, entry_frame=None, renorm_every: int = 1) -> float:
-    """log of the wedge norm of the full product applied to the entry frame."""
-    inner, _, xi = _resolve_frames(model, None, entry_frame)
-    _, increments, log_start, _ = _sweep(inner, z, xi, renorm_every)
-    return log_start + float(np.sum(increments))
-
-
-def logdet_via_transfer(model, z: complex, exit_frame=None, entry_frame=None, renorm_every: int = 1) -> float:
+def logdet_via_transfer(model, z: complex, renorm_every: int = 1) -> float:
     """log|det| of the shifted matrix through the transfer recursion.
 
     For a plain ensemble (materialized or lazy) with identity frames this
@@ -159,7 +154,7 @@ def logdet_via_transfer(model, z: complex, exit_frame=None, entry_frame=None, re
     inside the product; it comes from the same LU factors of B_k as the
     recursion's solves.
     """
-    log_b, growth = _logdet_parts(model, z, exit_frame, entry_frame, renorm_every)
+    log_b, growth = _logdet_parts(model, z, None, None, renorm_every)
     return log_b + growth
 
 

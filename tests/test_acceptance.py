@@ -88,7 +88,7 @@ def test_criterion_03_wedge_validation():
             for k in range(n):
                 product = bt.dense_transfer_matrix(model.diag[k], model.upper[k], model.lower[k], 0.5) @ product
             wedge_vec = bt.wedge_power_small(product, ell) @ bt.plucker_coordinates(xi)
-            norm_err = abs(bt.frame_growth_log(model, 0.5, entry_frame=xi) - np.log(np.linalg.norm(wedge_vec)))
+            norm_err = abs(bt.cocycle_trace(model, 0.5, entry_frame=xi).total - np.log(np.linalg.norm(wedge_vec)))
             pairing = abs(np.dot(bt.plucker_coordinates(pi.T), wedge_vec))
             proj_err = abs(
                 bt.projected_growth_log(model, 0.5, exit_frame=pi, entry_frame=xi) - np.log(pairing)

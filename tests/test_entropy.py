@@ -17,6 +17,8 @@ def test_law_validation():
         AtomLaw("cauchy")
     with pytest.raises(ValueError):
         AtomLaw("smoothed-rademacher", smoothing_exponent=-1.0)
+    with pytest.raises(ValueError):
+        AtomLaw("smoothed-rademacher", smoothing_exponent=float("nan"))
     assert AtomLaw("complex-gaussian").is_complex
     assert not AtomLaw("real-uniform").is_complex
 

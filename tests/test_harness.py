@@ -96,6 +96,14 @@ def test_emit_csv_and_json_roundtrip(tmp_path):
     assert np.mean(col_vals) == pytest.approx(parsed["aggregates"]["normalized_projected_growth"]["mean"], abs=1e-15)
 
 
+def test_emit_keeps_dots_in_the_base_name(tmp_path):
+    record = ResultRecord({"experiment": "x"}, ["value"], [], {}, 0.0)
+    paths = [p for base in ("z0.5", "z0.7") for p in emit(record, tmp_path / "res" / base)]
+    expected = [tmp_path / "res" / name for name in ("z0.5.csv", "z0.5.json", "z0.7.csv", "z0.7.json")]
+    assert paths == expected
+    assert sorted((tmp_path / "res").iterdir()) == expected
+
+
 def test_emit_header_only_for_empty_trials(tmp_path):
     record = ResultRecord({"experiment": "x"}, ["value"], [], {}, 0.0)
     csv_path, _ = emit(record, tmp_path / "empty")
@@ -132,13 +140,21 @@ def test_config_validation_errors():
         {"experiment": "rigidity", "smoothing_exponent": -1.0},
         {"experiment": "mde-compare", "n": 2},
         {"experiment": "ginibre", "master_seed": 2**64},
+        {"experiment": "rigidity", "threshold": float("nan")},
+        {"experiment": "rigidity", "law_kind": "smoothed-rademacher", "smoothing_exponent": float("nan")},
+        {"experiment": "logdet-identity", "z": complex(float("inf"), 0.0)},
+        {"experiment": "logdet-identity", "z": complex(0.5, float("nan"))},
+        {"experiment": "mde-compare", "n": 3, "xi": complex(float("nan"), 1.0)},
+        {"experiment": "esd", "max_dense": 0},
     ],
 )
 def test_bad_values_are_config_errors_before_any_trial(tmp_path, bad):
+    cfg = ExperimentConfig(**{"n": 3, "ell": 2, **bad})
     with pytest.raises(ConfigError):
-        run(ExperimentConfig(**{"n": 3, "ell": 2, **bad}))
+        run(cfg)
+    # every key of the file, the bad one as NaN, Infinity or an out-of-range number
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps({"n": 3, "ell": 2, "out": str(tmp_path / "r"), **bad}))
+    cfg_path.write_text(json.dumps(cfg.echo() | {"out": str(tmp_path / "r")}))
     assert main(["--config", str(cfg_path)]) == EXIT_CONFIG
     assert not (tmp_path / "r.json").exists()
 
@@ -177,6 +193,10 @@ def test_main_exit_codes(tmp_path, capsys):
     for text in ("null", "5", json.dumps({"experiment": "ginibre", "n": 2.7})):
         cfg_path.write_text(text)
         assert main(["--config", str(cfg_path), "--out", str(tmp_path / "refused")]) == EXIT_CONFIG
+    refused = [("--threshold", "nan"), ("--z-re", "inf"), ("--z-re", "nan"), ("--smoothing-exponent", "nan")]
+    for flag, value in refused + [("--max-dense", "0")]:
+        argv = ["--experiment", "rigidity", "--n", "4", "--ell", "3", flag, value]
+        assert main(argv + ["--out", str(tmp_path / "refused")]) == EXIT_CONFIG
     assert not (tmp_path / "refused.json").exists()
 
     bad = tmp_path / "partial"

@@ -79,8 +79,7 @@ def test_lu_logdet_factors_solve_like_solve_lu():
     for b in (_crandn(rng, 6, 6), rng.standard_normal((6, 6))):
         rhs = _crandn(rng, 6, 2)
         assert np.array_equal(lu_logdet(b).solve(rhs), solve_lu(b, rhs))
-    with pytest.raises(ValueError):
-        lu_logdet(np.zeros((0, 0))).solve(np.zeros(0))
+    assert lu_logdet(np.zeros((0, 0))).solve(np.zeros(0)).shape == (0,)
 
 
 def test_qr_thin_contracts():

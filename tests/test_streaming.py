@@ -12,7 +12,7 @@ import pytest
 
 from blocktri.entropy import ATOM_KINDS, AtomLaw, SeedScheme, fill_block
 from blocktri.model import LazyTridiagonal, sample_rows, sample_tridiagonal
-from blocktri.transfer import cocycle_trace, frame_growth_log, logdet_via_transfer, projected_growth_log
+from blocktri.transfer import cocycle_trace, logdet_via_transfer, projected_growth_log
 
 SHIFTS = (0.0, 0.5 + 0.5j, 2.0)
 SIZES = ((5, 1), (4, 3), (3, 48))
@@ -49,7 +49,6 @@ def test_streamed_sweep_equals_materialized_bitwise(kind, n, ell):
     for z in SHIFTS:
         assert logdet_via_transfer(lazy, z) == logdet_via_transfer(m, z)
         assert projected_growth_log(lazy, z) == projected_growth_log(m, z)
-        assert frame_growth_log(lazy, z) == frame_growth_log(m, z)
         assert cocycle_trace(lazy, z) == cocycle_trace(m, z)
 
 

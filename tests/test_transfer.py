@@ -18,7 +18,6 @@ from blocktri.numerics import SizeCapError, lu_logdet, svd_values
 from blocktri.transfer import (
     cocycle_trace,
     dense_transfer_matrix,
-    frame_growth_log,
     logdet_via_transfer,
     plucker_coordinates,
     projected_growth_log,
@@ -80,13 +79,13 @@ def test_cocycle_step_isometry_has_zero_increment():
     trace = cocycle_trace(m, z)
     assert len(trace.increments) == 1
     assert abs(trace.increments[0]) < 1e-12
-    assert abs(frame_growth_log(m, z)) < 1e-12
+    assert abs(trace.total) < 1e-12
 
 
 def test_cocycle_step_scalar_increment():
     a, b, c, z = 1.1 - 0.3j, 0.8j, 0.5, -0.2
     expected = 0.5 * np.log(abs((a - z) / b) ** 2 + 1.0)
-    assert abs(frame_growth_log(_one_row(a, b, c), z) - expected) < 1e-12
+    assert abs(cocycle_trace(_one_row(a, b, c), z).total - expected) < 1e-12
 
 
 def test_cocycle_step_gram_oracle_and_orthonormality():
@@ -167,7 +166,9 @@ def test_bordered_frames_cannot_be_overridden():
     m = sample_tridiagonal(2, 2, LAW, 6)
     b = build_bordered(m, identity_exit_frame(2), identity_entry_frame(2))
     with pytest.raises(ValueError):
-        logdet_via_transfer(b, 0.0, exit_frame=identity_exit_frame(2))
+        projected_growth_log(b, 0.0, exit_frame=identity_exit_frame(2))
+    with pytest.raises(ValueError):
+        cocycle_trace(b, 0.0, entry_frame=identity_entry_frame(2))
 
 
 def test_renormalization_cadence_invariance():
@@ -186,8 +187,8 @@ def test_frame_representative_invariance():
     v1 = projected_growth_log(m, 0.3, entry_frame=xi)
     v2 = projected_growth_log(m, 0.3, entry_frame=xi @ u)
     assert abs(v1 - v2) < 1e-9
-    w1 = frame_growth_log(m, 0.3, entry_frame=xi)
-    w2 = frame_growth_log(m, 0.3, entry_frame=xi @ u)
+    w1 = cocycle_trace(m, 0.3, entry_frame=xi).total
+    w2 = cocycle_trace(m, 0.3, entry_frame=xi @ u).total
     assert abs(w1 - w2) < 1e-9
 
 
@@ -228,12 +229,27 @@ def test_frame_cocycle_matches_wedge_norm():
     for seed in range(5):
         m = sample_tridiagonal(4, ell, LAW, 300 + seed)
         xi = random_entry_frame(ell, rng)
-        total = frame_growth_log(m, 0.5, entry_frame=xi)
+        total = cocycle_trace(m, 0.5, entry_frame=xi).total
         product = np.eye(2 * ell, dtype=complex)
         for k in range(m.n):
             product = dense_transfer_matrix(m.diag[k], m.upper[k], m.lower[k], 0.5) @ product
         wedge_vec = wedge_power_small(product, ell) @ plucker_coordinates(xi)
         assert abs(total - np.log(np.linalg.norm(wedge_vec))) < 1e-8
+
+
+def test_bordered_cocycle_matches_wedge_norm():
+    rng = np.random.default_rng(14)
+    for n in range(1, 6):
+        for ell in range(1, 4):
+            m = sample_tridiagonal(n, ell, LAW, 400 + 3 * n + ell)
+            for orth in (True, False):
+                b = build_bordered(m, random_exit_frame(ell, rng, orth), random_entry_frame(ell, rng, orth))
+                for z in (0.0, 0.5 + 0.5j, 2.0):
+                    product = np.eye(2 * ell, dtype=complex)
+                    for k in range(n):
+                        product = dense_transfer_matrix(m.diag[k], m.upper[k], m.lower[k], z) @ product
+                    wedge_vec = wedge_power_small(product, ell) @ plucker_coordinates(b.entry_frame)
+                    assert abs(cocycle_trace(b, z).total - np.log(np.linalg.norm(wedge_vec))) < 1e-8
 
 
 def test_concentration_identical_streams_zero_variance():
