@@ -54,7 +54,6 @@ from .spectra import (
     ginibre_potential,
     kolmogorov_distance,
     least_singular_value,
-    log_potential,
     logint_bound_check,
     radial_cdf_distance,
     rigidity_count,

@@ -191,9 +191,16 @@ def _integer(raw) -> int:
     return int(raw)
 
 
+def _real(raw) -> float:
+    """float(raw), refusing a bool."""
+    if isinstance(raw, bool):
+        raise ValueError(f"{raw!r} is not a number")
+    return float(raw)
+
+
 # Parser of each ExperimentConfig annotation; a complex field parses each part.
 _PARSERS = {
-    "str": str, "int": _integer, "float": float, "complex": float, "str | None": str, "float | None": float
+    "str": str, "int": _integer, "float": _real, "complex": _real, "str | None": str, "float | None": _real
 }
 
 
@@ -351,13 +358,16 @@ def concentration_experiment(
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
+    if doublings < 0:
+        raise ValueError("doublings must be >= 0")
     counts = tuple(n * 2**j for j in range(doublings + 1))
     values = []
     for level, n_level in enumerate(counts):
         config = ExperimentConfig(
             "concentration", n=n_level, ell=ell, z=z, law_kind=law.kind,
-            smoothing_exponent=law.smoothing_exponent, master_seed=master_seed,
+            smoothing_exponent=law.smoothing_exponent, trials=trials, master_seed=master_seed,
         )
+        config.validate()
         values.append(tuple(_concentration(config, level * trials + t)[0] for t in range(trials)))
     means = tuple(float(np.mean(v)) for v in values)
     stds = tuple(float(np.std(v, ddof=1)) for v in values)
@@ -367,7 +377,8 @@ def concentration_experiment(
 
 def ginibre_logdet_check(n: int, trials: int, *, master_seed: int = 0) -> float:
     """Mean over trials of (1/n) log|det((3n)^{-1/2} A)| for a complex Gaussian square matrix."""
-    config = ExperimentConfig("ginibre", n=n, master_seed=master_seed)
+    config = ExperimentConfig("ginibre", n=n, trials=trials, master_seed=master_seed)
+    config.validate()
     return float(np.mean([_ginibre(config, t)[0] for t in range(trials)]))
 
 
@@ -390,7 +401,8 @@ def mde_vs_empirical(
     bulk = tuple(solve_mc(xi, z) for xi in xi_values)
     table = np.empty((len(ells), len(xi_values)))
     for i, ell in enumerate(ells):
-        config = ExperimentConfig("mde-compare", n=n, ell=ell, z=z, master_seed=master_seed)
+        config = ExperimentConfig("mde-compare", n=n, ell=ell, z=z, trials=trials, master_seed=master_seed)
+        config.validate()
         sums = np.zeros(len(xi_values), dtype=np.complex128)
         for t in range(trials):
             measure = _periodic_measure(config, i * trials + t)

@@ -102,6 +102,8 @@ def solve_chain(n: int, w: complex, z: complex, tol: float = 1e-10, max_iter: in
     z = complex(z)
     if w.imag <= 0:
         raise ValueError("spectral parameter must lie in the upper half plane")
+    if n < 1:
+        raise ValueError("chain needs n >= 1 sites")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     az2 = abs(z) ** 2

@@ -8,18 +8,18 @@ the transfer recursion, which is why they are sampled up front.
 Each block comes from its own (trial, row, role) stream, so the rows can also
 be drawn one at a time (`sample_rows`): `LazyTridiagonal` names a plain
 ensemble without holding its blocks, and the transfer recursion over it keeps
-one row in memory at a time.
+one row in memory at a time. Both plain ensembles hand the recursion their
+block rows through the same `rows()` iterator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .entropy import AtomLaw, SeedScheme, fill_block
-from .numerics import SizeCapError, inv_sqrt_hermitian, lu_logdet, svd_values, unitary_complement
+from .numerics import SizeCapError, inv_sqrt_hermitian, svd_values, unitary_complement
 
 DEFAULT_DENSE_CAP = 8192
 FRAME_DET_TOL = 1e-10
@@ -43,15 +43,9 @@ class BlockTridiagonal:
     def size(self) -> int:
         return self.n * self.ell
 
-    @cached_property
-    def upper_factors(self) -> tuple:
-        """`lu_logdet` of each super-diagonal block, computed on first use.
-
-        Neither log|det B_k| nor the LU factors of B_k depend on the shift, so
-        every transfer evaluation of this ensemble shares one factorization per
-        block. The blocks must not be changed in place after that.
-        """
-        return tuple(lu_logdet(b) for b in self.upper)
+    def rows(self):
+        """Iterator over the (diag, upper, lower) blocks of rows 0, ..., n-1."""
+        return zip(self.diag, self.upper, self.lower)
 
 
 @dataclass(frozen=True)

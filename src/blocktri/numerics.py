@@ -50,14 +50,12 @@ def _as_array(m) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LogDetResult:
-    """Natural log of |det| plus a unit-modulus phase.
+    """Natural log of |det| plus the LU factors it came from.
 
-    `lu_logdet` also keeps the LU factors it computed, so `solve` can reuse
-    them for systems with the same matrix.
+    `solve` reuses the kept factors for systems with the same matrix.
     """
 
     log_magnitude: float
-    sign_phase: complex
     factors: tuple = field(repr=False, compare=False)
 
     def solve(self, rhs) -> np.ndarray:
@@ -71,7 +69,7 @@ class LogDetResult:
         (getrs,) = get_lapack_funcs(("getrs",), (lu, r))
         # The getrs wrapper shifts the pivots to 1-based in place with the GIL
         # released, so every call gets its own copy: factors shared by several
-        # threads (one ensemble's upper_factors, say) would be corrupted otherwise.
+        # threads would be corrupted otherwise.
         x, info = getrs(lu, piv.copy(), r)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of getrs")
@@ -89,20 +87,16 @@ def lu_logdet(m) -> LogDetResult:
     """log|det M| from LU pivot magnitudes, never forming the determinant."""
     a = _as_square(m)
     if a.shape[0] == 0:
-        return LogDetResult(0.0, 1.0 + 0.0j, (np.empty_like(a), np.zeros(0, dtype=np.int32)))
+        return LogDetResult(0.0, (np.empty_like(a), np.zeros(0, dtype=np.int32)))
     (getrf,) = get_lapack_funcs(("getrf",), (a,))
     lu, piv, info = getrf(a)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf")
     # info > 0 flags an exact zero pivot, which the floor below also catches.
-    d = np.diagonal(lu)
-    mags = np.abs(d)
+    mags = np.abs(np.diagonal(lu))
     if not np.all(np.isfinite(mags)) or np.any(mags < PIVOT_FLOOR):
         raise SingularMatrixError("pivot magnitude below floor")
-    log_magnitude = float(np.sum(np.log(mags)))
-    swaps = int(np.count_nonzero(piv != np.arange(len(piv))))
-    phase = complex(np.prod(d / mags)) * (-1.0) ** swaps
-    return LogDetResult(log_magnitude, phase, (lu, piv))
+    return LogDetResult(float(np.sum(np.log(mags))), (lu, piv))
 
 
 def solve_lu(b, rhs) -> np.ndarray:

@@ -9,7 +9,6 @@ import numpy as np
 
 from .model import DEFAULT_DENSE_CAP, to_dense
 from .numerics import EIGVALS_CAP, eigvals, svd_values
-from .transfer import logdet_via_transfer
 
 
 @dataclass(frozen=True)
@@ -103,12 +102,6 @@ def ginibre_potential(z: complex) -> float:
     if r <= 1.0:
         return (r * r - 1.0) / 2.0
     return float(np.log(r))
-
-
-def log_potential(model, z_values) -> dict:
-    """Per-shift normalized log determinant, evaluated through the transfer recursion."""
-    size = model.size
-    return {complex(z): logdet_via_transfer(model, z) / size for z in z_values}
 
 
 def logint_bound_check(mu: EmpiricalMeasure, nu: EmpiricalMeasure, a: float, b: float, beta: float) -> bool:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import get_blas_funcs
 
-from .model import BorderedEnsemble, LazyTridiagonal, identity_entry_frame, identity_exit_frame
+from .model import BorderedEnsemble, identity_entry_frame, identity_exit_frame
 from .numerics import SingularMatrixError, SizeCapError, lu_logdet, qr_thin, solve_lu
 
 
@@ -71,17 +71,6 @@ def dense_transfer_matrix(diag_block, upper_block, lower_block, z: complex) -> n
     return np.vstack([top, bottom])
 
 
-def _factored_rows(model):
-    """(A_k, lu_logdet(B_k), C_k) per block row.
-
-    A materialized ensemble reuses its cached `upper_factors`, shared by every
-    shift; a lazy one samples and factors each row as the sweep reaches it.
-    """
-    if isinstance(model, LazyTridiagonal):
-        return ((a, lu_logdet(b), c) for a, b, c in model.rows())
-    return zip(model.diag, model.upper_factors, model.lower)
-
-
 def _sweep(model, z: complex, entry_frame, renorm_every: int = 1):
     """Run the frame through all rows.
 
@@ -93,7 +82,8 @@ def _sweep(model, z: complex, entry_frame, renorm_every: int = 1):
     buf = _frame_buffer(model.ell)
     increments = []
     log_b = 0.0
-    for k, (a, b, c) in enumerate(_factored_rows(model)):
+    for k, (a, upper, c) in enumerate(model.rows()):
+        b = lu_logdet(upper)
         log_b += b.log_magnitude
         frame = _step(a, b, c, z, frame, buf)
         if (k + 1) % renorm_every == 0 or k == model.n - 1:

@@ -131,6 +131,11 @@ def test_config_validation_errors():
         with pytest.raises(ConfigError, match=f"bad value for {key}"):
             config_from_dict({"experiment": "ginibre", key: value})
     assert config_from_dict({"experiment": "ginibre", "n": 3.0, "trials": "4"}).trials == 4
+    # float and complex fields refuse a JSON boolean as int fields do
+    for key in ("threshold", "z_re", "smoothing_exponent"):
+        for value in (True, False):
+            with pytest.raises(ConfigError, match=f"bad value for {key}"):
+                config_from_dict({"experiment": "rigidity", key: value})
 
 
 @pytest.mark.parametrize(
@@ -190,7 +195,8 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
     assert main([]) == EXIT_CONFIG
     cfg_path = tmp_path / "c.json"
-    for text in ("null", "5", json.dumps({"experiment": "ginibre", "n": 2.7})):
+    boolean = '{"experiment": "rigidity", "threshold": true}'
+    for text in ("null", "5", json.dumps({"experiment": "ginibre", "n": 2.7}), boolean):
         cfg_path.write_text(text)
         assert main(["--config", str(cfg_path), "--out", str(tmp_path / "refused")]) == EXIT_CONFIG
     refused = [("--threshold", "nan"), ("--z-re", "inf"), ("--z-re", "nan"), ("--smoothing-exponent", "nan")]

@@ -116,6 +116,8 @@ def test_solve_chain_validates_input():
         solve_chain(4, 1.0, 0.0)
     with pytest.raises(ValueError):
         solve_chain(4, 1j, 0.0, tol=0.0)
+    with pytest.raises(ValueError, match="n >= 1"):
+        solve_chain(0, 0.1j, 0.5)
 
 
 def test_solve_chain_unconverged_flag():
@@ -128,6 +130,8 @@ def test_mde_vs_empirical_far_field():
     table = mde_vs_empirical(4, [6, 8], 0.5, [1e3j], trials=3, master_seed=1)
     assert table.deviations.shape == (2, 1)
     assert np.all(table.deviations <= 1e-4)
+    with pytest.raises(ValueError, match="trials"):
+        mde_vs_empirical(4, [6], 0.5, [1e3j], trials=0)
 
 
 def test_bordered_vs_periodic_rank_perturbation():

@@ -19,13 +19,11 @@ from blocktri.spectra import (
     ginibre_potential,
     kolmogorov_distance,
     least_singular_value,
-    log_potential,
     logint_bound_check,
     radial_cdf_distance,
     rigidity_count,
     singular_values,
 )
-from blocktri.transfer import logdet_via_transfer
 
 LAW = AtomLaw("complex-gaussian")
 
@@ -173,19 +171,14 @@ def test_ginibre_potential_values():
     assert ginibre_potential(2.0) == pytest.approx(np.log(2.0))
 
 
-def test_log_potential_consistency():
-    model = sample_tridiagonal(4, 3, LAW, 9)
-    table = log_potential(model, [0.0, 2.0])
-    assert set(table) == {0.0 + 0.0j, 2.0 + 0.0j}
-    assert table[0j] == pytest.approx(logdet_via_transfer(model, 0.0) / model.size)
-
-
 def test_ginibre_logdet_small_size():
     # finite second moment sanity at n = 2, then a mid-size mean check
     val2 = ginibre_logdet_check(2, 50, master_seed=10)
     assert np.isfinite(val2)
     val = ginibre_logdet_check(200, 10, master_seed=11)
     assert abs(val - (-0.5 * np.log(3.0) - 0.5)) < 0.03
+    with pytest.raises(ValueError, match="trials"):
+        ginibre_logdet_check(4, 0)
 
 
 def test_logint_bound_check():

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from blocktri import model, transfer
+from blocktri import transfer
 from blocktri.entropy import AtomLaw, SeedScheme
 from blocktri.harness import concentration_experiment
 from blocktri.model import (
     BlockTridiagonal,
+    LazyTridiagonal,
     build_bordered,
     identity_entry_frame,
     identity_exit_frame,
@@ -113,18 +114,27 @@ def test_cocycle_trace_total_matches_increment_sum():
 
 
 def test_one_factorization_per_super_diagonal_block(monkeypatch):
+    """Each sweep factors every B_k once, in row order, and then the final pairing."""
     calls = []
 
     def counting(b):
         calls.append(b)
         return lu_logdet(b)
 
-    monkeypatch.setattr(model, "lu_logdet", counting)
+    monkeypatch.setattr(transfer, "lu_logdet", counting)
     m = sample_tridiagonal(5, 3, LAW, 8)
+    lazy = LazyTridiagonal(5, 3, LAW, 8)
     for z in (0.0, 0.5 + 0.5j, 2.0):
+        calls.clear()
         assert _rel_close(logdet_via_transfer(m, z), lu_logdet(to_dense(m, z)).log_magnitude, 1e-8)
-    projected_growth_log(m, 0.3)
-    assert len(calls) == m.n
+        assert len(calls) == m.n + 1
+        assert all(got is b for got, b in zip(calls, m.upper))
+        assert calls[-1].shape == (m.ell, m.ell) and all(calls[-1] is not b for b in m.upper)
+        calls.clear()
+        streamed = logdet_via_transfer(lazy, z)
+        assert len(calls) == m.n + 1
+        assert all(np.array_equal(got, b) for got, b in zip(calls, m.upper))
+        assert streamed == logdet_via_transfer(m, z)
 
 
 def test_logdet_scalar_case():
@@ -269,6 +279,8 @@ def test_concentration_experiment_summary():
     assert summary == again
     with pytest.raises(ValueError):
         concentration_experiment(8, 4, 0.5, trials=1, law=LAW)
+    with pytest.raises(ValueError, match="doublings"):
+        concentration_experiment(8, 4, 0.5, trials=2, law=LAW, doublings=-1)
 
 
 def test_concentration_no_extreme_outliers():
