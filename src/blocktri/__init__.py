@@ -66,10 +66,4 @@ from .mde import (
     solve_chain,
     solve_mc,
 )
-from .harness import (
-    ConcentrationSummary,
-    StieltjesDeviationTable,
-    concentration_experiment,
-    ginibre_logdet_check,
-    mde_vs_empirical,
-)
+from . import harness

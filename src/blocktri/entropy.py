@@ -60,12 +60,12 @@ class SeedScheme:
     master_seed: int
 
     def __post_init__(self):
-        if not (-(1 << 63) <= self.master_seed < (1 << 64)):
-            raise ValueError("master seed must fit in 64 bits")
+        if not (0 <= self.master_seed < (1 << 64)):
+            raise ValueError("master seed must be an unsigned 64-bit integer")
 
     def stream_key(self, trial: int = 0, block: int = 0, role: str = "") -> np.ndarray:
         h = hashlib.blake2b(digest_size=16)
-        h.update(struct.pack("<QQQ", self.master_seed & _U64, trial & _U64, block & _U64))
+        h.update(struct.pack("<QQQ", self.master_seed, trial & _U64, block & _U64))
         h.update(role.encode("utf-8"))
         return np.frombuffer(h.digest(), dtype=np.uint64)
 

@@ -1,6 +1,8 @@
 """Experiment harness: one registry of per-trial kernels, one config definition,
-trial orchestration, CSV/JSON output, CLI, and the library drivers built on
-the same kernels.
+trial orchestration, CSV/JSON output and the CLI.
+
+Library callers and the CLI take the same path: ``run(ExperimentConfig(...))``
+returns a record whose ``aggregates`` summarize each column over the ok trials.
 
 Every trial is a pure function of (config, trial index), so records are
 reproducible under a fixed master seed.
@@ -67,12 +69,6 @@ def _lazy(config: ExperimentConfig, trial: int) -> LazyTridiagonal:
     return LazyTridiagonal(config.n, config.ell, config.law(), config.master_seed, trial)
 
 
-def _periodic_measure(config: ExperimentConfig, trial: int):
-    """Squared singular values of the shifted periodic ensemble."""
-    ens = sample_periodic(config.n, config.ell, config.law(), config.master_seed, trial)
-    return singular_values(ens, config.z, config.max_dense)
-
-
 def _logdet_identity(config: ExperimentConfig, trial: int) -> tuple:
     model = _plain(config, trial)
     via_transfer = logdet_via_transfer(model, config.z)
@@ -104,7 +100,8 @@ def _rigidity(config: ExperimentConfig, trial: int) -> tuple:
 
 
 def _mde_compare(config: ExperimentConfig, trial: int) -> tuple:
-    mhat = empirical_stieltjes(_periodic_measure(config, trial), config.xi)
+    ens = sample_periodic(config.n, config.ell, config.law(), config.master_seed, trial)
+    mhat = empirical_stieltjes(singular_values(ens, config.z, config.max_dense), config.xi)
     return mhat.real, mhat.imag, abs(mhat - solve_mc(config.xi, config.z))
 
 
@@ -317,98 +314,6 @@ def emit(record: ResultRecord, out_base) -> list:
     csv_path.write_text("\n".join(lines) + "\n")
     json_path.write_text(json.dumps(record.to_jsonable(), indent=2, allow_nan=True) + "\n")
     return [csv_path, json_path]
-
-
-# Library drivers: sweeps over trials (and sizes) on the harness kernels.
-
-
-@dataclass(frozen=True)
-class ConcentrationSummary:
-    block_counts: tuple
-    means: tuple
-    std_devs: tuple
-    std_dev_decreasing: bool
-    values: tuple
-
-
-@dataclass(frozen=True)
-class StieltjesDeviationTable:
-    """Deviations |trial-averaged empirical transform - bulk solution| per (ell, xi)."""
-
-    ell_values: tuple
-    xi_values: tuple
-    deviations: np.ndarray
-    bulk_values: tuple
-
-
-def concentration_experiment(
-    n: int,
-    ell: int,
-    z: complex,
-    trials: int,
-    *,
-    law: AtomLaw,
-    master_seed: int = 0,
-    doublings: int = 0,
-) -> ConcentrationSummary:
-    """Sample spread of the normalized projected growth, optionally across doublings of n.
-
-    Level j runs the ``concentration`` kernel at n * 2**j block rows on
-    trials j*trials through (j+1)*trials - 1.
-    """
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
-    if doublings < 0:
-        raise ValueError("doublings must be >= 0")
-    counts = tuple(n * 2**j for j in range(doublings + 1))
-    values = []
-    for level, n_level in enumerate(counts):
-        config = ExperimentConfig(
-            "concentration", n=n_level, ell=ell, z=z, law_kind=law.kind,
-            smoothing_exponent=law.smoothing_exponent, trials=trials, master_seed=master_seed,
-        )
-        config.validate()
-        values.append(tuple(_concentration(config, level * trials + t)[0] for t in range(trials)))
-    means = tuple(float(np.mean(v)) for v in values)
-    stds = tuple(float(np.std(v, ddof=1)) for v in values)
-    decreasing = all(later < earlier for earlier, later in zip(stds, stds[1:]))
-    return ConcentrationSummary(counts, means, stds, decreasing, tuple(values))
-
-
-def ginibre_logdet_check(n: int, trials: int, *, master_seed: int = 0) -> float:
-    """Mean over trials of (1/n) log|det((3n)^{-1/2} A)| for a complex Gaussian square matrix."""
-    config = ExperimentConfig("ginibre", n=n, trials=trials, master_seed=master_seed)
-    config.validate()
-    return float(np.mean([_ginibre(config, t)[0] for t in range(trials)]))
-
-
-def mde_vs_empirical(
-    n: int,
-    ell_values,
-    z: complex,
-    xi_grid,
-    trials: int,
-    *,
-    master_seed: int = 0,
-) -> StieltjesDeviationTable:
-    """Trial-averaged empirical transform of the periodic ensemble against the bulk solution.
-
-    The i-th ell runs trials i*trials through (i+1)*trials - 1, as the
-    ``mde-compare`` kernel does, with one SVD per trial for the whole xi grid.
-    """
-    xi_values = tuple(complex(x) for x in xi_grid)
-    ells = tuple(int(e) for e in ell_values)
-    bulk = tuple(solve_mc(xi, z) for xi in xi_values)
-    table = np.empty((len(ells), len(xi_values)))
-    for i, ell in enumerate(ells):
-        config = ExperimentConfig("mde-compare", n=n, ell=ell, z=z, trials=trials, master_seed=master_seed)
-        config.validate()
-        sums = np.zeros(len(xi_values), dtype=np.complex128)
-        for t in range(trials):
-            measure = _periodic_measure(config, i * trials + t)
-            sums += np.array([empirical_stieltjes(measure, xi) for xi in xi_values])
-        table[i] = np.abs(sums / trials - np.array(bulk))
-    return StieltjesDeviationTable(ells, xi_values, table, bulk)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -33,6 +33,14 @@ def _report(num, name, ok, budget, seconds, detail):
     assert seconds < budget, f"criterion {num} exceeded runtime budget"
 
 
+def _aggregates(experiment, **kw):
+    """Per-column aggregates of one `run`, every trial of which must be ok."""
+    record = bt.harness.run(bt.harness.ExperimentConfig(experiment, **kw))
+    for col, agg in record.aggregates.items():
+        assert agg["count"] == kw["trials"], f"{col}: {kw['trials'] - agg['count']} failed trials"
+    return record.aggregates
+
+
 def _rel_err(a, b):
     return abs(a - b) / max(1.0, abs(b))
 
@@ -99,7 +107,7 @@ def test_criterion_03_wedge_validation():
 
 def test_criterion_04_ginibre_logdet():
     with _Timer() as t:
-        mean = bt.ginibre_logdet_check(1000, 20, master_seed=0)
+        mean = _aggregates("ginibre", n=1000, trials=20, master_seed=0)["normalized_logdet"]["mean"]
         diff = abs(mean - GINIBRE_LIMIT)
     _report(4, "square-matrix log-determinant limit", diff <= 0.02, 120.0, t.seconds, f"mean {mean:.5f}, |diff| {diff:.5f}")
 
@@ -160,17 +168,22 @@ def test_criterion_07_mde_suite():
 
 def test_criterion_08_stieltjes_convergence_trend():
     with _Timer() as t:
-        table = bt.mde_vs_empirical(8, [16, 32, 64], 0.5, [2 + 1j], trials=40, master_seed=0)
-        devs = table.deviations[:, 0]
+        xi, z = 2 + 1j, 0.5
+        devs = []
+        for ell in (16, 32, 64):
+            agg = _aggregates("mde-compare", n=8, ell=ell, z=z, xi=xi, trials=40, master_seed=0)
+            mhat = complex(agg["mhat_re"]["mean"], agg["mhat_im"]["mean"])
+            devs.append(abs(mhat - bt.solve_mc(xi, z)))
         ok = bool(devs[0] > devs[1] > devs[2])
     _report(8, "empirical-transform convergence trend", ok, 600.0, t.seconds, f"deviations {np.round(devs, 6).tolist()}")
 
 
 def test_criterion_09_concentration_trend():
     with _Timer() as t:
-        summary = bt.concentration_experiment(32, 8, 0.5, trials=200, law=LAW, master_seed=0, doublings=2)
-        ok = summary.std_dev_decreasing
-    _report(9, "growth-statistic concentration trend", ok, 300.0, t.seconds, f"std devs {np.round(summary.std_devs, 6).tolist()}")
+        kw = dict(ell=8, z=0.5, law_kind=LAW.kind, trials=200, master_seed=0)
+        stds = [_aggregates("concentration", n=n, **kw)["normalized_projected_growth"]["std"] for n in (32, 64, 128)]
+        ok = stds[0] > stds[1] > stds[2]
+    _report(9, "growth-statistic concentration trend", ok, 300.0, t.seconds, f"std devs {np.round(stds, 6).tolist()}")
 
 
 def test_criterion_10_property_suites():

@@ -104,8 +104,9 @@ def test_distinct_tuples_give_distinct_streams():
 
 def test_seed_scheme_range_check():
     SeedScheme(2**63)  # unsigned upper half is allowed
-    with pytest.raises(ValueError):
-        SeedScheme(2**64)
+    for bad in (2**64, -1):  # a negative seed would alias 2**64 + seed
+        with pytest.raises(ValueError):
+            SeedScheme(bad)
 
 
 def test_fill_block_scalar_variance():

@@ -9,8 +9,6 @@ import numpy as np
 import pytest
 
 import blocktri
-from blocktri import harness, spectra
-from blocktri.entropy import AtomLaw
 from blocktri.harness import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -19,15 +17,11 @@ from blocktri.harness import (
     ConfigError,
     ExperimentConfig,
     ResultRecord,
-    concentration_experiment,
     config_from_dict,
     emit,
-    ginibre_logdet_check,
     main,
-    mde_vs_empirical,
     run,
 )
-from blocktri.mde import solve_mc
 
 
 def _strip_wall(record):
@@ -145,6 +139,7 @@ def test_config_validation_errors():
         {"experiment": "rigidity", "smoothing_exponent": -1.0},
         {"experiment": "mde-compare", "n": 2},
         {"experiment": "ginibre", "master_seed": 2**64},
+        {"experiment": "ginibre", "master_seed": -1},
         {"experiment": "rigidity", "threshold": float("nan")},
         {"experiment": "rigidity", "law_kind": "smoothed-rademacher", "smoothing_exponent": float("nan")},
         {"experiment": "logdet-identity", "z": complex(float("inf"), 0.0)},
@@ -299,38 +294,3 @@ def test_flag_overrides_only_its_own_part(tmp_path, flag, kept, set_key):
     assert main(["--config", str(cfg_path), flag, "0.5"]) == EXIT_OK
     echoed = json.loads(out.with_suffix(".json").read_text())["config"]
     assert (echoed[kept], echoed[set_key]) == (1.5, 0.5)
-
-
-def _values(record, column, start):
-    return tuple(t.values[column] for t in record.trials[start:])
-
-
-def test_drivers_equal_the_harness_records(monkeypatch):
-    law = AtomLaw("real-gaussian")
-    summary = concentration_experiment(4, 3, 0.5, trials=3, law=law, master_seed=8, doublings=1)
-    for level, n_level in enumerate(summary.block_counts):
-        cfg = ExperimentConfig("concentration", n=n_level, ell=3, z=0.5, law_kind=law.kind, trials=3 * (level + 1), master_seed=8)
-        assert summary.values[level] == _values(run(cfg), "normalized_projected_growth", 3 * level)
-
-    record = run(ExperimentConfig("ginibre", n=10, trials=3, master_seed=2))
-    assert ginibre_logdet_check(10, 3, master_seed=2) == record.aggregates["normalized_logdet"]["mean"]
-
-    svds = []
-
-    def counted(*args):
-        svds.append(args)
-        return spectra.singular_values(*args)
-
-    monkeypatch.setattr(harness, "singular_values", counted)
-    table = mde_vs_empirical(4, [2, 3], 0.5, [2 + 1j, 0.5j], trials=2, master_seed=6)
-    assert len(svds) == 2 * 2  # one SVD per (ell, trial), shared by every xi
-    for i, ell in enumerate(table.ell_values):
-        mhat = []
-        for xi in table.xi_values:
-            rec = run(ExperimentConfig("mde-compare", n=4, ell=ell, z=0.5, xi=xi, trials=2 * (i + 1), master_seed=6))
-            mhat.append([complex(re, im) for re, im in zip(_values(rec, "mhat_re", 2 * i), _values(rec, "mhat_im", 2 * i))])
-        sums = np.zeros(len(table.xi_values), dtype=np.complex128)
-        for column in np.array(mhat).T:
-            sums += column
-        bulk = np.array([solve_mc(xi, 0.5) for xi in table.xi_values])
-        assert np.array_equal(table.deviations[i], np.abs(sums / 2 - bulk))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blocktri.entropy import AtomLaw, SeedScheme, fill_block
-from blocktri.harness import mde_vs_empirical
+from blocktri.harness import ConfigError, ExperimentConfig, run
 from blocktri.mde import (
     MdeConvergenceError,
     chain_imag_bound,
@@ -126,12 +126,13 @@ def test_solve_chain_unconverged_flag():
     assert chain.residual > 1e-13
 
 
-def test_mde_vs_empirical_far_field():
-    table = mde_vs_empirical(4, [6, 8], 0.5, [1e3j], trials=3, master_seed=1)
-    assert table.deviations.shape == (2, 1)
-    assert np.all(table.deviations <= 1e-4)
-    with pytest.raises(ValueError, match="trials"):
-        mde_vs_empirical(4, [6], 0.5, [1e3j], trials=0)
+def test_mde_compare_far_field():
+    for ell in (6, 8):
+        record = run(ExperimentConfig("mde-compare", n=4, ell=ell, z=0.5, xi=1e3j, trials=3, master_seed=1))
+        assert record.aggregates["deviation"]["count"] == 3
+        assert record.aggregates["deviation"]["max"] <= 1e-4
+    with pytest.raises(ConfigError, match="trials"):
+        run(ExperimentConfig("mde-compare", n=4, ell=6, xi=1e3j, trials=0))
 
 
 def test_bordered_vs_periodic_rank_perturbation():

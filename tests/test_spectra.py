@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blocktri.entropy import AtomLaw, SeedScheme
-from blocktri.harness import ginibre_logdet_check
+from blocktri.harness import ConfigError, ExperimentConfig, run
 from blocktri.model import (
     BlockTridiagonal,
     build_bordered,
@@ -171,14 +171,20 @@ def test_ginibre_potential_values():
     assert ginibre_potential(2.0) == pytest.approx(np.log(2.0))
 
 
+def _ginibre_mean(n, trials, master_seed):
+    agg = run(ExperimentConfig("ginibre", n=n, trials=trials, master_seed=master_seed)).aggregates["normalized_logdet"]
+    assert agg["count"] == trials
+    return agg["mean"]
+
+
 def test_ginibre_logdet_small_size():
     # finite second moment sanity at n = 2, then a mid-size mean check
-    val2 = ginibre_logdet_check(2, 50, master_seed=10)
+    val2 = _ginibre_mean(2, 50, master_seed=10)
     assert np.isfinite(val2)
-    val = ginibre_logdet_check(200, 10, master_seed=11)
+    val = _ginibre_mean(200, 10, master_seed=11)
     assert abs(val - (-0.5 * np.log(3.0) - 0.5)) < 0.03
-    with pytest.raises(ValueError, match="trials"):
-        ginibre_logdet_check(4, 0)
+    with pytest.raises(ConfigError, match="trials"):
+        run(ExperimentConfig("ginibre", n=4, trials=0))
 
 
 def test_logint_bound_check():

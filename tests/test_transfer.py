@@ -3,7 +3,7 @@ import pytest
 
 from blocktri import transfer
 from blocktri.entropy import AtomLaw, SeedScheme
-from blocktri.harness import concentration_experiment
+from blocktri.harness import ExperimentConfig, run
 from blocktri.model import (
     BlockTridiagonal,
     LazyTridiagonal,
@@ -271,20 +271,10 @@ def test_concentration_identical_streams_zero_variance():
     assert np.var([v1, v2]) == 0.0
 
 
-def test_concentration_experiment_summary():
-    summary = concentration_experiment(8, 4, 0.5, trials=12, law=LAW, master_seed=14, doublings=1)
-    assert summary.block_counts == (8, 16)
-    assert len(summary.values[0]) == 12
-    again = concentration_experiment(8, 4, 0.5, trials=12, law=LAW, master_seed=14, doublings=1)
-    assert summary == again
-    with pytest.raises(ValueError):
-        concentration_experiment(8, 4, 0.5, trials=1, law=LAW)
-    with pytest.raises(ValueError, match="doublings"):
-        concentration_experiment(8, 4, 0.5, trials=2, law=LAW, doublings=-1)
-
-
 def test_concentration_no_extreme_outliers():
-    summary = concentration_experiment(64, 8, 0.5, trials=500, law=LAW, master_seed=15)
-    vals = np.array(summary.values[0])
+    cfg = ExperimentConfig("concentration", n=64, ell=8, z=0.5, law_kind=LAW.kind, trials=500, master_seed=15)
+    record = run(cfg)
+    assert record.aggregates["normalized_projected_growth"]["count"] == 500
+    vals = np.array([t.values["normalized_projected_growth"] for t in record.trials])
     spread = np.abs(vals - vals.mean()) / vals.std(ddof=1)
     assert spread.max() < 6.0
