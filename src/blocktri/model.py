@@ -106,8 +106,12 @@ def _as_scheme(seed) -> SeedScheme:
     return seed if isinstance(seed, SeedScheme) else SeedScheme(int(seed))
 
 
-def _sample_row(ell: int, law: AtomLaw, scheme: SeedScheme, trial: int, k: int) -> tuple:
-    return tuple(fill_block(ell, law, scheme.stream(trial, k, role)) for role in ("diag", "upper", "lower"))
+def _rows(n: int, ell: int, law: AtomLaw, scheme: SeedScheme, trial: int):
+    # One generator per iterator, rekeyed to each block's stream: the draws of
+    # a new generator per block, for a sixth of the cost. Iterators share none.
+    stream = scheme.stream(trial, 0, "diag")
+    for k in range(n):
+        yield tuple(fill_block(ell, law, scheme.rekey(stream, trial, k, role)) for role in ("diag", "upper", "lower"))
 
 
 def sample_rows(n: int, ell: int, law: AtomLaw, seed, trial: int = 0):
@@ -119,7 +123,8 @@ def sample_rows(n: int, ell: int, law: AtomLaw, seed, trial: int = 0):
     if n < 1 or ell < 1:
         raise ValueError("need n >= 1 and ell >= 1")
     scheme = _as_scheme(seed)
-    return (_sample_row(ell, law, scheme, trial, k) for k in range(n))
+    scheme.stream_key(trial)  # refuses a trial outside 64 bits before any row is drawn
+    return _rows(n, ell, law, scheme, trial)
 
 
 def sample_tridiagonal(n: int, ell: int, law: AtomLaw, seed, trial: int = 0) -> BlockTridiagonal:

@@ -109,6 +109,32 @@ def test_seed_scheme_range_check():
             SeedScheme(bad)
 
 
+def test_stream_coordinates_outside_64_bits_are_refused():
+    """A negative trial or block would alias 2**64 + value; both ends of the range are refused."""
+    scheme = SeedScheme(0)
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError):
+            scheme.stream_key(trial=bad)
+        with pytest.raises(ValueError):
+            scheme.stream_key(block=bad)
+    assert not np.array_equal(scheme.stream_key(trial=2**64 - 1), scheme.stream_key(block=2**64 - 1))
+
+
+@pytest.mark.parametrize("kind", ATOM_KINDS)
+def test_rekeyed_stream_draws_like_a_fresh_one(kind):
+    """`rekey` resets every part of the generator state, also a half-used 32-bit word."""
+    law = AtomLaw(kind, smoothing_exponent=2.0)
+    scheme = SeedScheme(41)
+    stream = scheme.stream(3, 0, "diag")
+    stream.integers(0, 2, 7)  # leaves a buffered half word behind
+    stream.random(3)
+    for block, role in ((0, "diag"), (5, "upper"), (5, "diag"), (2**64 - 1, "lower")):
+        fresh = fill_block(6, law, scheme.stream(3, block, role))
+        again = fill_block(6, law, scheme.rekey(stream, 3, block, role))
+        assert fresh.dtype == again.dtype and np.array_equal(fresh, again)
+        assert np.array_equal(scheme.stream(3, block, role).integers(0, 2, 9), scheme.rekey(stream, 3, block, role).integers(0, 2, 9))
+
+
 def test_fill_block_scalar_variance():
     law = AtomLaw("complex-gaussian")
     stream = _stream(5)

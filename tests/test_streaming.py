@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from blocktri.entropy import ATOM_KINDS, AtomLaw, SeedScheme, fill_block
-from blocktri.model import LazyTridiagonal, sample_rows, sample_tridiagonal
+from blocktri.model import LazyTridiagonal, sample_periodic, sample_rows, sample_tridiagonal
 from blocktri.transfer import cocycle_trace, logdet_via_transfer, projected_growth_log
 
 SHIFTS = (0.0, 0.5 + 0.5j, 2.0)
@@ -61,6 +61,36 @@ def test_lazy_ensemble_validates_its_coordinates():
         LazyTridiagonal(2, 2, AtomLaw("real-gaussian"), master_seed=1 << 64)
     with pytest.raises(ValueError):
         sample_rows(0, 2, AtomLaw("real-gaussian"), 0)
+
+
+def test_trials_outside_64_bits_are_refused():
+    """trial=-1 used to alias trial=2**64-1; every sampler refuses both ends of the range."""
+    law = AtomLaw("real-gaussian")
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError):
+            sample_tridiagonal(2, 2, law, 0, trial=bad)
+        with pytest.raises(ValueError):
+            LazyTridiagonal(2, 2, law, 0, trial=bad)
+        with pytest.raises(ValueError):
+            sample_periodic(3, 2, law, 0, trial=bad)
+        with pytest.raises(ValueError):
+            sample_rows(2, 2, law, 0, trial=bad)
+    top = 2**64 - 1
+    m = sample_tridiagonal(2, 2, law, 0, trial=top)
+    assert all(np.array_equal(x, y) for r, s in zip(m.rows(), LazyTridiagonal(2, 2, law, 0, trial=top).rows()) for x, y in zip(r, s))
+    assert sample_periodic(3, 2, law, 0, trial=top).corner_top.shape == (2, 2)
+
+
+@pytest.mark.parametrize("kind", ATOM_KINDS)
+def test_interleaved_row_iterators_draw_as_if_alone(kind):
+    """Each row iterator owns its generator: stepping two of them in turn changes neither."""
+    law = AtomLaw(kind)
+    alone = [list(sample_rows(4, 3, law, 35, trial=t)) for t in (0, 1)]
+    first, second = sample_rows(4, 3, law, 35, trial=0), sample_rows(4, 3, law, 35, trial=1)
+    for k, (r, s) in enumerate(zip(first, second)):
+        assert all(np.array_equal(x, y) for x, y in zip(r, alone[0][k]))
+        assert all(np.array_equal(x, y) for x, y in zip(s, alone[1][k]))
+    assert not np.array_equal(alone[0][0][0], alone[1][0][0])
 
 
 def _peak_bytes(fn) -> int:
