@@ -108,16 +108,9 @@ def sample_atoms(law: AtomLaw, stream: np.random.Generator, size, ell: int | Non
     if law.kind == "real-gaussian":
         return stream.standard_normal(size)
     if law.kind == "complex-gaussian":
-        # One draw of the real parts followed by the imaginary parts: the same
-        # stream positions as two separate draws, without the temporaries.
         shape = (size,) if np.isscalar(size) else tuple(size)
-        parts = stream.standard_normal((2, *shape))
-        # numpy divides a complex number by a real c as each part times 1/c,
-        # so this is (re + 1j * im) / sqrt(2) without the complex division.
-        parts *= 1.0 / _SQRT2
         out = np.empty(shape, dtype=np.complex128)
-        out.real = parts[0]
-        out.imag = parts[1]
+        out.real, out.imag = _complex_gaussian_parts(stream, shape)
         return out
     if law.kind == "real-uniform":
         return stream.uniform(-_SQRT3, _SQRT3, size)
@@ -131,19 +124,36 @@ def sample_atoms(law: AtomLaw, stream: np.random.Generator, size, ell: int | Non
     return s * signs + t * g
 
 
-def fill_block(ell: int, law: AtomLaw, stream: np.random.Generator) -> np.ndarray:
+def _complex_gaussian_parts(stream: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Real parts, then imaginary parts, of standard complex Gaussians: float64 of shape (2, *shape)."""
+    # One draw of the real parts followed by the imaginary parts: the same
+    # stream positions as two separate draws, without the temporaries.
+    parts = stream.standard_normal((2, *shape))
+    # numpy divides a complex number by a real c as each part times 1/c,
+    # so this is (re + 1j * im) / sqrt(2) without the complex division.
+    parts *= 1.0 / _SQRT2
+    return parts
+
+
+def fill_block(ell: int, law: AtomLaw, stream: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
     """ell-by-ell block with i.i.d. entries of law scaled by (3*ell)**(-1/2).
 
-    The dtype is that of `sample_atoms`: float64 for a real law.
+    The dtype is that of `sample_atoms`: float64 for a real law. With `out`,
+    an ell-by-ell array of any memory layout that can hold that dtype, the
+    block is written into it and `out` is returned; the values are the same.
     """
     if ell < 1:
         raise ValueError("block size must be positive")
-    block = sample_atoms(law, stream, (ell, ell), ell=ell)
     scale = np.sqrt(3.0 * ell)
-    if np.iscomplexobj(block):
-        # The values of block / scale, as in `sample_atoms`, scaled in place.
-        parts = block.view(np.float64)
+    if law.is_complex:
+        # The values of the complex block / scale, as in `sample_atoms`,
+        # scaled as float64 parts before they are assembled.
+        parts = _complex_gaussian_parts(stream, (ell, ell))
         parts *= 1.0 / scale
-    else:
-        block /= scale
-    return block
+        if out is None:
+            out = np.empty((ell, ell), dtype=np.complex128)
+        out.real, out.imag = parts
+        return out
+    block = sample_atoms(law, stream, (ell, ell), ell=ell)
+    # Divided in float64 also when `out` is complex.
+    return np.divide(block, scale, out=block if out is None else out, dtype=np.float64)

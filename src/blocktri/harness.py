@@ -276,8 +276,8 @@ def _aggregate(columns, trials) -> dict:
             "min": float(vals.min()),
             "max": float(vals.max()),
         }
-        for q in _QUANTILES:
-            agg[f"p{int(q * 100):02d}"] = float(np.quantile(vals, q))
+        for q, v in zip(_QUANTILES, np.quantile(vals, _QUANTILES)):
+            agg[f"p{int(q * 100):02d}"] = float(v)
         out[col] = agg
     return out
 

@@ -43,9 +43,14 @@ class BlockTridiagonal:
     def size(self) -> int:
         return self.n * self.ell
 
-    def rows(self):
-        """Iterator over the (diag, upper, lower) blocks of rows 0, ..., n-1."""
-        return zip(self.diag, self.upper, self.lower)
+    def rows(self, out=None):
+        """Iterator over the (diag, upper, lower) blocks of rows 0, ..., n-1.
+
+        With `out`, a triple of ell-by-ell arrays, each row is copied into
+        `out`, which is yielded; the stored blocks are never written.
+        """
+        rows = zip(self.diag, self.upper, self.lower)
+        return rows if out is None else _copied_rows(rows, out)
 
 
 @dataclass(frozen=True)
@@ -69,9 +74,9 @@ class LazyTridiagonal:
     def size(self) -> int:
         return self.n * self.ell
 
-    def rows(self):
-        """Iterator over the (diag, upper, lower) blocks of rows 0, ..., n-1."""
-        return sample_rows(self.n, self.ell, self.law, self.master_seed, self.trial)
+    def rows(self, out=None):
+        """Iterator over the (diag, upper, lower) blocks of rows 0, ..., n-1; `out` as in `sample_rows`."""
+        return sample_rows(self.n, self.ell, self.law, self.master_seed, self.trial, out)
 
 
 @dataclass(frozen=True)
@@ -106,25 +111,35 @@ def _as_scheme(seed) -> SeedScheme:
     return seed if isinstance(seed, SeedScheme) else SeedScheme(int(seed))
 
 
-def _rows(n: int, ell: int, law: AtomLaw, scheme: SeedScheme, trial: int):
+def _copied_rows(rows, out):
+    for row in rows:
+        for slot, block in zip(out, row, strict=True):
+            np.copyto(slot, block)
+        yield out
+
+
+def _rows(n: int, ell: int, law: AtomLaw, scheme: SeedScheme, trial: int, out):
     # One generator per iterator, rekeyed to each block's stream: the draws of
     # a new generator per block, for a sixth of the cost. Iterators share none.
     stream = scheme.stream(trial, 0, "diag")
+    roles = tuple(zip(("diag", "upper", "lower"), (None, None, None) if out is None else out, strict=True))
     for k in range(n):
-        yield tuple(fill_block(ell, law, scheme.rekey(stream, trial, k, role)) for role in ("diag", "upper", "lower"))
+        yield tuple(fill_block(ell, law, scheme.rekey(stream, trial, k, role), slot) for role, slot in roles)
 
 
-def sample_rows(n: int, ell: int, law: AtomLaw, seed, trial: int = 0):
+def sample_rows(n: int, ell: int, law: AtomLaw, seed, trial: int = 0, out=None):
     """Iterator over the (diag, upper, lower) blocks of block rows 0, ..., n-1.
 
     Each block is drawn from its own (trial, row, role) stream when its row is
-    reached, so only the current row is held.
+    reached, so only the current row is held. With `out`, a triple of
+    ell-by-ell arrays, each row is drawn straight into those arrays (see
+    `fill_block`), and every step yields them.
     """
     if n < 1 or ell < 1:
         raise ValueError("need n >= 1 and ell >= 1")
     scheme = _as_scheme(seed)
     scheme.stream_key(trial)  # refuses a trial outside 64 bits before any row is drawn
-    return _rows(n, ell, law, scheme, trial)
+    return _rows(n, ell, law, scheme, trial, out)
 
 
 def sample_tridiagonal(n: int, ell: int, law: AtomLaw, seed, trial: int = 0) -> BlockTridiagonal:

@@ -7,13 +7,13 @@ throughout the package.
 
 Real input stays real: a float64 matrix goes to the real LAPACK routines
 (``dgetrf``, ``dgeev``, ``dgesdd``, ...), anything complex to the complex ones.
-LU and QR call ``getrf``/``getrs``/``laswp`` and ``geqrf`` with
-``orgqr``/``ungqr`` directly, without the per-call checks of the
-``scipy.linalg`` front ends.
+LU and QR call ``getrf``/``getrs`` and ``geqrf`` with ``orgqr``/``ungqr``
+directly, without the per-call checks of the ``scipy.linalg`` front ends.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,44 +91,26 @@ def lu_logdet(m) -> LogDetResult:
         return LogDetResult(0.0, (np.empty_like(a), np.zeros(0, dtype=np.int32)))
     (getrf,) = get_lapack_funcs(("getrf",), (a,))
     lu, piv, info = getrf(a)
+    return LogDetResult(pivot_log_magnitude(lu, info), (lu, piv))
+
+
+def pivot_log_magnitude(lu, info: int, error: type = SingularMatrixError, what: str = "pivot") -> float:
+    """Sum of log|U_ii| over the pivots of a ``getrf`` result.
+
+    Raises `error` when a pivot magnitude is not finite or below the floor,
+    and `ValueError` when ``getrf`` reported an illegal argument.
+    """
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf")
     # info > 0 flags an exact zero pivot, which the floor below also catches.
-    mags = np.abs(np.diagonal(lu))
-    if not np.all(np.isfinite(mags)) or np.any(mags < PIVOT_FLOOR):
-        raise SingularMatrixError("pivot magnitude below floor")
-    return LogDetResult(float(np.sum(np.log(mags))), (lu, piv))
-
-
-def lu_thin(m) -> tuple[np.ndarray, np.ndarray]:
-    """Partial-pivoting LU of a tall matrix, grouped as M = (P L) U.
-
-    P L is a row permutation of a unit lower trapezoidal L whose entries have
-    modulus at most 1 (at most sqrt 2 if complex: LAPACK picks a complex pivot
-    by |re| + |im|), and U is square upper triangular. P L spans the columns
-    of M, so it can stand in for M as a frame, with log|det U| the log volume
-    removed.
-    """
-    a = _as_array(m)
-    if a.ndim != 2 or a.shape[0] < a.shape[1]:
-        raise ValueError("expected a tall matrix")
-    k = a.shape[1]
-    if k == 0:
-        return a.copy(), np.zeros((0, 0), dtype=a.dtype)
-    getrf, laswp = get_lapack_funcs(("getrf", "laswp"), (a,))
-    lu, piv, info = getrf(a)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of getrf")
-    top = lu[:k]
-    u = np.triu(top)
-    mags = np.abs(np.diagonal(u))
-    if not np.all(np.isfinite(mags)) or np.any(mags < PIVOT_FLOOR):
-        raise RankDeficientError("U diagonal magnitude below floor")
-    top -= u
-    top[np.arange(k), np.arange(k)] = 1
-    # getrf swapped rows 0, 1, ..., k-1 in turn; undoing the swaps in reverse
-    # order turns L into P L.
-    return laswp(lu, piv, inc=-1, overwrite_a=True), u
+    mags = np.abs(lu.diagonal())
+    # A NaN fails the first test; an infinite pivot makes the sum infinite.
+    if not mags.min() >= PIVOT_FLOOR:
+        raise error(f"{what} magnitude below floor")
+    total = float(np.log(mags).sum())
+    if not math.isfinite(total):
+        raise error(f"{what} magnitude below floor")
+    return total
 
 
 def solve_lu(b, rhs) -> np.ndarray:

@@ -5,19 +5,24 @@ One step maps a 2ell-by-ell frame through the block companion operator
 Renormalization replaces the frame by another basis of its span, F = F' R,
 and accumulates log|det R|, the log volume growth. The determinant identity
 holds for any such R, so the determinant paths (`logdet_via_transfer`,
-`projected_growth_log`) renormalize by partial-pivoting LU (`lu_thin`: the
-frame becomes P L, L unit lower trapezoidal), in about a third of the time
-of a QR that forms Q. `cocycle_trace` reports the per-step growth
-increments, which are wedge-norm increments only for orthonormal frames, so
-it renormalizes by the phase-fixed QR (`qr_thin`). The wedge space is never
-materialized at production sizes; frames carry decomposable elements
-exactly and wedge norms are Gram log-determinants.
+`projected_growth_log`) renormalize by partial-pivoting LU (the frame
+becomes P L, L unit lower trapezoidal), in about a third of the time of a QR
+that forms Q. `cocycle_trace` reports the per-step growth increments, which
+are wedge-norm increments only for orthonormal frames, so it renormalizes by
+the phase-fixed QR (`qr_thin`). The wedge space is never materialized at
+production sizes; frames carry decomposable elements exactly and wedge norms
+are Gram log-determinants.
 
 Every evaluation is one sweep over the block rows that factors each B_k once,
-for both log|det B_k| and the solves. Over a `LazyTridiagonal` the rows are
-drawn as the sweep reaches them, from one Philox generator per row iterator
-rekeyed to each block's (trial, row, role) stream, so memory stays at one
-row, its B factors and the frame, whatever n is.
+for both log|det B_k| and the solves. A sweep owns one `_Workspace`: the
+row's blocks, B's factors, the product and two frames, all in the Fortran
+order that LAPACK and BLAS read, and the routines, looked up once. Each row
+is written into it, drawn there by `fill_block` over a `LazyTridiagonal` or
+copied from a materialized ensemble, whose stored blocks are never written;
+B is factored and the frame renormalized in place. Over a `LazyTridiagonal`
+the rows come from one Philox generator per row iterator, rekeyed to each
+block's (trial, row, role) stream, so memory stays at one workspace whatever
+n is.
 """
 
 from __future__ import annotations
@@ -28,9 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import get_blas_funcs
+from scipy.linalg.lapack import get_lapack_funcs
 
-from .model import BorderedEnsemble, identity_entry_frame, identity_exit_frame
-from .numerics import SingularMatrixError, SizeCapError, lu_logdet, lu_thin, qr_thin, solve_lu
+from .model import BorderedEnsemble, LazyTridiagonal, identity_entry_frame, identity_exit_frame
+from .numerics import RankDeficientError, SingularMatrixError, SizeCapError, lu_logdet, pivot_log_magnitude, qr_thin, solve_lu
 
 
 @dataclass(frozen=True)
@@ -39,42 +45,78 @@ class CocycleTrace:
     total: float
 
 
-def _step(a, b, c, z: complex, frame, out) -> np.ndarray:
-    """Un-normalized transfer of `frame` through one row into `out`; `b` is `lu_logdet(B)`."""
-    ell = a.shape[0]
-    u, v = frame[:ell], frame[ell:]
-    shifted = np.array(a, dtype=np.result_type(a, z))
-    shifted[np.arange(ell), np.arange(ell)] -= z
-    # -((A - z) u + C v) through scipy's BLAS, the library of the solve and
-    # the renormalization: with numpy's matmul the sweep alternates between
-    # two OpenBLAS thread pools, which at the default thread count made it 6x
-    # slower.
-    (gemm,) = get_blas_funcs(("gemm",), (shifted, u, c))
-    w = gemm(-1.0, shifted, u)
-    w = gemm(-1.0, c, v, beta=1.0, c=w, overwrite_c=True)
-    x = b.solve(w)
-    # u may be a view of out (no renormalization since the last step), so it
-    # moves down before x overwrites it.
-    out[ell:] = u
-    out[:ell] = x
-    return out
+class _Workspace:
+    """The buffers and routines of one sweep over rows of block size ell.
+
+    `row` is the (A, B, C) slots a row is written into: A and C are the two
+    halves of ``[A - z | C]``, complex128, and B has `b_dtype`, so a real B
+    is factored by ``dgetrf`` as `lu_logdet` would. `frame` is the current
+    2ell-by-ell frame; each step writes the next one into the other buffer.
+    """
+
+    def __init__(self, ell: int, b_dtype):
+        self.ell = ell
+        az_c = np.empty((ell, 2 * ell), dtype=np.complex128, order="F")
+        self.b = np.empty((ell, ell), dtype=b_dtype, order="F")
+        self.row = (az_c[:, :ell], self.b, az_c[:, ell:])
+        # A's diagonal, as a view, for the shift.
+        self.a_diagonal = az_c.ravel(order="F")[: ell * ell : ell + 1]
+        # zgetrs solves against complex factors; a real B's are cast into here.
+        self.b_lu = self.b if np.iscomplexobj(self.b) else np.empty((ell, ell), dtype=np.complex128, order="F")
+        self.product = np.empty((ell, ell), dtype=np.complex128, order="F")
+        self.frame, self.spare = (np.empty((2 * ell, ell), dtype=np.complex128, order="F") for _ in range(2))
+        self.strict_upper = np.triu(np.ones((ell, ell), dtype=bool), 1)
+        (self.getrf_b,) = get_lapack_funcs(("getrf",), dtype=self.b.dtype)
+        self.getrf, self.getrs, self.laswp = get_lapack_funcs(("getrf", "getrs", "laswp"), dtype=np.complex128)
+        # -((A - z) u + C v) through scipy's BLAS, the library of the solve and
+        # the renormalization: with numpy's matmul the sweep alternates between
+        # two OpenBLAS thread pools, which at the default thread count made it 6x
+        # slower.
+        (self.gemm,) = get_blas_funcs(("gemm",), dtype=np.complex128)
+
+    def step(self, z: complex) -> float:
+        """Un-normalized transfer of the frame through the row in `row`; returns log|det B|."""
+        ell = self.ell
+        self.a_diagonal -= z
+        lu, piv, info = self.getrf_b(self.b, overwrite_a=True)
+        log_b = pivot_log_magnitude(lu, info)
+        if lu is not self.b_lu:
+            np.copyto(self.b_lu, lu)
+        u, v = self.frame[:ell], self.frame[ell:]
+        w = self.gemm(-1.0, self.row[0], u, c=self.product, overwrite_c=True)
+        w = self.gemm(-1.0, self.row[2], v, beta=1.0, c=w, overwrite_c=True)
+        x, info = self.getrs(self.b_lu, piv, w, overwrite_b=True)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of getrs")
+        self.spare[ell:] = u
+        self.spare[:ell] = x
+        self.frame, self.spare = self.spare, self.frame
+        return log_b
+
+    def lu(self) -> float:
+        """Replace the frame by P L of its pivoted LU, in place; returns log|det U|, the log volume removed."""
+        lu, piv, info = self.getrf(self.frame, overwrite_a=True)
+        growth = pivot_log_magnitude(lu, info, RankDeficientError, "U diagonal")
+        # top - triu(top) leaves L's strictly lower part: U's entries cancel to zero.
+        top = lu[: self.ell]
+        np.subtract(top, top, out=top, where=self.strict_upper)
+        np.fill_diagonal(top, 1)
+        # getrf swapped rows 0, 1, ..., ell-1 in turn; undoing the swaps in
+        # reverse order turns L into P L.
+        self.frame = self.laswp(lu, piv, inc=-1, overwrite_a=True)
+        return growth
+
+    def qr(self) -> float:
+        """Replace the frame by the Q of its phase-fixed QR; returns log|det R|, the log volume removed."""
+        q, r = qr_thin(self.frame)
+        self.frame = q
+        return float(np.sum(np.log(np.diagonal(r).real)))
 
 
-def _qr_frame(frame) -> tuple[np.ndarray, float]:
-    """Orthonormal frame of the same span, and the log volume that QR removed."""
-    q, r = qr_thin(frame)
-    return q, float(np.sum(np.log(np.diagonal(r).real)))
-
-
-def _lu_frame(frame) -> tuple[np.ndarray, float]:
-    """Pivoted unit lower frame P L of the same span, and the log volume that LU removed."""
-    pl, u = lu_thin(frame)
-    return pl, float(np.sum(np.log(np.abs(np.diagonal(u)))))
-
-
-def _frame_buffer(ell: int) -> np.ndarray:
-    # Fortran order is the layout LAPACK's LU and QR read.
-    return np.empty((2 * ell, ell), dtype=np.complex128, order="F")
+def _b_dtype(model):
+    """The dtype in which `lu_logdet` would factor the model's B_k."""
+    complex_b = model.law.is_complex if isinstance(model, LazyTridiagonal) else any(np.iscomplexobj(b) for b in model.upper)
+    return np.complex128 if complex_b else np.float64
 
 
 def dense_transfer_matrix(diag_block, upper_block, lower_block, z: complex) -> np.ndarray:
@@ -87,24 +129,24 @@ def dense_transfer_matrix(diag_block, upper_block, lower_block, z: complex) -> n
 
 
 def _sweep(model, z: complex, entry_frame, renormalize, renorm_every: int = 1):
-    """Run the frame through all rows, renormalizing by `renormalize` (`_qr_frame` or `_lu_frame`).
+    """Run the frame through all rows, renormalizing by `renormalize` (`_Workspace.lu` or `_Workspace.qr`).
 
     Returns (final frame, increments, start log, sum of log|det B_k|).
     """
     if renorm_every < 1:
         raise ValueError("renorm_every must be >= 1")
-    frame, log_start = renormalize(np.asarray(entry_frame, dtype=np.complex128))
-    buf = _frame_buffer(model.ell)
+    ws = _Workspace(model.ell, _b_dtype(model))
+    if np.shape(entry_frame) != ws.frame.shape:
+        raise ValueError("the entry frame must be 2ell-by-ell")
+    ws.frame[...] = entry_frame
+    log_start = renormalize(ws)
     increments = []
     log_b = 0.0
-    for k, (a, upper, c) in enumerate(model.rows()):
-        b = lu_logdet(upper)
-        log_b += b.log_magnitude
-        frame = _step(a, b, c, z, frame, buf)
+    for k, _ in enumerate(model.rows(out=ws.row)):
+        log_b += ws.step(z)
         if (k + 1) % renorm_every == 0 or k == model.n - 1:
-            frame, inc = renormalize(frame)
-            increments.append(inc)
-    return frame, increments, log_start, log_b
+            increments.append(renormalize(ws))
+    return ws.frame, increments, log_start, log_b
 
 
 def cocycle_trace(model, z: complex, entry_frame=None) -> CocycleTrace:
@@ -113,7 +155,7 @@ def cocycle_trace(model, z: complex, entry_frame=None) -> CocycleTrace:
     `total` is the log wedge norm of the full product applied to the entry frame.
     """
     inner, _, xi = _resolve_frames(model, None, entry_frame)
-    _, increments, log_start, _ = _sweep(inner, z, xi, _qr_frame)
+    _, increments, log_start, _ = _sweep(inner, z, xi, _Workspace.qr)
     return CocycleTrace(tuple(increments), log_start + float(np.sum(increments)))
 
 
@@ -132,7 +174,7 @@ def _resolve_frames(model, exit_frame, entry_frame):
 def _logdet_parts(model, z, exit_frame, entry_frame, renorm_every) -> tuple[float, float]:
     """(sum of log|det B_k|, projected growth) from one sweep."""
     inner, pi, xi = _resolve_frames(model, exit_frame, entry_frame)
-    frame, increments, log_start, log_b = _sweep(inner, z, xi, _lu_frame, renorm_every)
+    frame, increments, log_start, log_b = _sweep(inner, z, xi, _Workspace.lu, renorm_every)
     try:
         pairing = lu_logdet(np.asarray(pi, dtype=np.complex128) @ frame).log_magnitude
     except SingularMatrixError:

@@ -10,7 +10,6 @@ from blocktri.numerics import (
     eigvals,
     inv_sqrt_hermitian,
     lu_logdet,
-    lu_thin,
     qr_thin,
     solve_lu,
     svd_values,
@@ -110,38 +109,6 @@ def test_qr_thin_rank_deficient():
     m[:, 0] = 1.0
     with pytest.raises(RankDeficientError):
         qr_thin(m)
-
-
-@pytest.mark.parametrize("complex_entries, bound", [(False, 1.0), (True, np.sqrt(2.0))])
-def test_lu_thin_contracts(complex_entries, bound):
-    """M = (P L) U with U upper triangular and P L a row permutation of a unit lower L.
-
-    LAPACK picks a complex pivot by |re| + |im|, so complex multipliers reach sqrt 2 in modulus.
-    """
-    rng = np.random.default_rng(4)
-    for rows, cols in ((96, 48), (6, 3), (4, 4), (5, 1)):
-        m = _crandn(rng, rows, cols) if complex_entries else rng.standard_normal((rows, cols))
-        pl, u = lu_thin(m)
-        assert pl.shape == (rows, cols) and u.shape == (cols, cols)
-        assert np.iscomplexobj(pl) == complex_entries
-        assert np.linalg.norm(pl @ u - m) <= 1e-13 * np.linalg.norm(m)
-        assert np.array_equal(u, np.triu(u))
-        assert np.max(np.abs(pl)) <= bound * (1 + 1e-15)
-        # The rows of the unit diagonal are distinct rows of M's permutation.
-        unit_rows = [int(np.flatnonzero(pl[:, j] == 1)[0]) for j in range(cols)]
-        assert len(set(unit_rows)) == cols
-        for j, r in enumerate(unit_rows):
-            assert np.all(pl[r, j + 1 :] == 0)
-
-
-def test_lu_thin_rank_deficient():
-    m = np.zeros((6, 3), dtype=complex)
-    m[:, 0] = 1.0
-    m[:, 2] = 1.0j
-    with pytest.raises(RankDeficientError):
-        lu_thin(m)
-    with pytest.raises(ValueError):
-        lu_thin(np.ones((2, 3)))
 
 
 def test_svd_values_basic():

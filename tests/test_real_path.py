@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from blocktri.entropy import ATOM_KINDS, AtomLaw, SeedScheme, fill_block, sample_atoms
 from blocktri.model import (
     BlockTridiagonal,
+    LazyTridiagonal,
     PeriodicEnsemble,
     build_bordered,
     random_entry_frame,
@@ -98,13 +99,19 @@ def test_real_kernels_agree_with_complex_cast(kind, n, ell, seed, z):
 
 
 @PROPERTY
-@given(kind=real_kinds, n=st.integers(1, 6), ell=st.integers(1, 5), seed=seeds)
-@example(kind="real-gaussian", n=1, ell=1, seed=0)
-@example(kind="real-uniform", n=2, ell=1, seed=1)
-@example(kind="smoothed-rademacher", n=1, ell=3, seed=2)
-@example(kind="smoothed-rademacher", n=2, ell=2, seed=3)
-def test_transfer_on_real_blocks_matches_dense(kind, n, ell, seed):
-    m = sample_tridiagonal(n, ell, AtomLaw(kind), seed)
-    assert m.upper[0].dtype == np.float64
+@given(kind=kinds, n=st.integers(1, 6), ell=st.integers(1, 5), seed=seeds, streamed=st.booleans())
+@example(kind="real-gaussian", n=1, ell=1, seed=0, streamed=False)
+@example(kind="real-uniform", n=2, ell=1, seed=1, streamed=False)
+@example(kind="smoothed-rademacher", n=1, ell=3, seed=2, streamed=False)
+@example(kind="smoothed-rademacher", n=2, ell=2, seed=3, streamed=False)
+@example(kind="complex-gaussian", n=1, ell=1, seed=4, streamed=True)
+@example(kind="complex-gaussian", n=2, ell=1, seed=5, streamed=False)
+@example(kind="real-gaussian", n=3, ell=2, seed=6, streamed=True)
+def test_transfer_on_real_blocks_matches_dense(kind, n, ell, seed, streamed):
+    """Also for the complex law and the streamed ensemble, at the smallest n and ell."""
+    law = AtomLaw(kind)
+    m = sample_tridiagonal(n, ell, law, seed)
+    assert m.upper[0].dtype == (np.complex128 if law.is_complex else np.float64)
+    ensemble = LazyTridiagonal(n, ell, law, seed) if streamed else m
     for z in (0.0, 0.5 + 0.5j, 2.0):
-        assert _rel_close(logdet_via_transfer(m, z), lu_logdet(to_dense(m, z)).log_magnitude, 1e-8)
+        assert _rel_close(logdet_via_transfer(ensemble, z), lu_logdet(to_dense(m, z)).log_magnitude, 1e-8)

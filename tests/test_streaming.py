@@ -15,7 +15,7 @@ from blocktri.model import LazyTridiagonal, sample_periodic, sample_rows, sample
 from blocktri.transfer import cocycle_trace, logdet_via_transfer, projected_growth_log
 
 SHIFTS = (0.0, 0.5 + 0.5j, 2.0)
-SIZES = ((5, 1), (4, 3), (3, 48))
+SIZES = ((5, 1), (4, 3), (3, 48), (1, 1), (2, 1), (1, 3))
 
 
 def _role_major_blocks(n, ell, law, scheme, trial):

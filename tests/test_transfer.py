@@ -15,7 +15,7 @@ from blocktri.model import (
     sample_tridiagonal,
     to_dense,
 )
-from blocktri.numerics import SizeCapError, lu_logdet, svd_values
+from blocktri.numerics import RankDeficientError, SizeCapError, lu_logdet, qr_thin, svd_values
 from blocktri.transfer import (
     cocycle_trace,
     dense_transfer_matrix,
@@ -34,8 +34,12 @@ def _rel_close(a, b, tol):
 
 def _one_step(a, b, c, z, frame):
     """The sweep's un-normalized transfer of `frame` through one row."""
-    frame = np.asarray(frame, dtype=complex)
-    return transfer._step(np.asarray(a), lu_logdet(b), np.asarray(c), z, frame, transfer._frame_buffer(frame.shape[1]))
+    ws = transfer._Workspace(len(frame) // 2, np.result_type(float, np.asarray(b)))
+    for slot, block in zip(ws.row, (a, b, c)):
+        slot[...] = block
+    ws.frame[...] = frame
+    ws.step(z)
+    return ws.frame
 
 
 def _one_row(a, b, c):
@@ -102,8 +106,44 @@ def test_cocycle_step_gram_oracle_and_orthonormality():
         y = _one_step(diag[k], upper[k], lower[k], z, frame)
         gram = 0.5 * np.log(np.abs(np.linalg.det(y.conj().T @ y)))
         assert abs(trace.increments[k] - gram) < 1e-9
-        frame, _ = transfer._qr_frame(y)
+        frame, _ = qr_thin(y)
         assert np.linalg.norm(frame.conj().T @ frame - np.eye(ell)) < 1e-10
+
+
+@pytest.mark.parametrize("complex_entries, bound", [(False, 1.0), (True, np.sqrt(2.0))])
+def test_lu_renormalization_contracts(complex_entries, bound):
+    """The frame M becomes P L, where M = (P L) U with U upper triangular and L unit lower.
+
+    LAPACK picks a complex pivot by |re| + |im|, so complex multipliers reach sqrt 2 in modulus.
+    """
+    rng = np.random.default_rng(4)
+    for ell in (48, 3, 2, 1):
+        m = rng.standard_normal((2 * ell, ell)) + (1j * rng.standard_normal((2 * ell, ell)) if complex_entries else 0)
+        ws = transfer._Workspace(ell, np.complex128)
+        ws.frame[...] = m
+        growth = ws.lu()
+        pl = ws.frame
+        u = np.linalg.lstsq(pl, m, rcond=None)[0]
+        assert np.linalg.norm(pl @ u - m) <= 1e-13 * np.linalg.norm(m)
+        assert np.linalg.norm(np.tril(u, -1)) <= 1e-13 * np.linalg.norm(u)
+        assert abs(growth - np.sum(np.log(np.abs(np.diagonal(u))))) <= 1e-12 * max(1.0, abs(growth))
+        assert complex_entries or np.all(pl.imag == 0)
+        assert np.max(np.abs(pl)) <= bound * (1 + 1e-15)
+        # The rows of the unit diagonal are distinct rows of M's permutation.
+        unit_rows = [int(np.flatnonzero(pl[:, j] == 1)[0]) for j in range(ell)]
+        assert len(set(unit_rows)) == ell
+        for j, r in enumerate(unit_rows):
+            assert np.all(pl[r, j + 1 :] == 0)
+
+
+def test_lu_renormalization_rank_deficient():
+    m = np.zeros((6, 3), dtype=complex)
+    m[:, 0] = 1.0
+    m[:, 2] = 1.0j
+    ws = transfer._Workspace(3, np.complex128)
+    ws.frame[...] = m
+    with pytest.raises(RankDeficientError):
+        ws.lu()
 
 
 def test_cocycle_trace_total_matches_increment_sum():
@@ -117,19 +157,35 @@ def test_one_factorization_per_super_diagonal_block(monkeypatch):
     """Each sweep factors every B_k once, in row order, and then the final pairing."""
     calls = []
 
-    def counting(b):
+    def counting_getrf(getrf):
+        def factor(a, **kwargs):
+            if a.shape[0] == a.shape[1]:  # B_k; the frames are 2ell x ell
+                calls.append(a.copy())
+            return getrf(a, **kwargs)
+
+        return factor
+
+    def counting_lookup(names, *args, **kwargs):
+        funcs = get_lapack_funcs(names, *args, **kwargs)
+        return tuple(counting_getrf(f) if name == "getrf" else f for name, f in zip(names, funcs))
+
+    def counting_logdet(b):
         calls.append(b)
         return lu_logdet(b)
 
-    monkeypatch.setattr(transfer, "lu_logdet", counting)
+    get_lapack_funcs = transfer.get_lapack_funcs
+    monkeypatch.setattr(transfer, "get_lapack_funcs", counting_lookup)
+    monkeypatch.setattr(transfer, "lu_logdet", counting_logdet)
     m = sample_tridiagonal(5, 3, LAW, 8)
+    stored = [b.copy() for b in m.upper]
     lazy = LazyTridiagonal(5, 3, LAW, 8)
     for z in (0.0, 0.5 + 0.5j, 2.0):
         calls.clear()
         assert _rel_close(logdet_via_transfer(m, z), lu_logdet(to_dense(m, z)).log_magnitude, 1e-8)
         assert len(calls) == m.n + 1
-        assert all(got is b for got, b in zip(calls, m.upper))
+        assert all(np.array_equal(got, b) for got, b in zip(calls, m.upper))
         assert calls[-1].shape == (m.ell, m.ell) and all(calls[-1] is not b for b in m.upper)
+        assert all(np.array_equal(b, s) for b, s in zip(m.upper, stored))
         calls.clear()
         streamed = logdet_via_transfer(lazy, z)
         assert len(calls) == m.n + 1
