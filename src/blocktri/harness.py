@@ -5,7 +5,8 @@ Library callers and the CLI take the same path: ``run(ExperimentConfig(...))``
 returns a record whose ``aggregates`` summarize each column over the ok trials.
 
 Every trial is a pure function of (config, trial index), so records are
-reproducible under a fixed master seed.
+reproducible under a fixed master seed. Each record also names the numpy,
+scipy and BLAS it ran with, the BLAS thread settings and the usable cores.
 Failed trials are recorded with NaN values instead of aborting the batch.
 Kernels look library functions up in this module's globals at call time, so
 a tracer that patches module attributes sees every call.
@@ -16,12 +17,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import time
 from dataclasses import Field, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .entropy import ATOM_KINDS, AtomLaw, SeedScheme, sample_atoms
@@ -72,7 +75,7 @@ def _lazy(config: ExperimentConfig, trial: int) -> LazyTridiagonal:
 def _logdet_identity(config: ExperimentConfig, trial: int) -> tuple:
     model = _plain(config, trial)
     via_transfer = logdet_via_transfer(model, config.z)
-    dense = lu_logdet(to_dense(model, config.z, config.max_dense)).log_magnitude
+    dense = lu_logdet(to_dense(model, config.z, config.max_dense), overwrite_a=True).log_magnitude
     return via_transfer, dense, abs(via_transfer - dense) / max(1.0, abs(dense))
 
 
@@ -248,6 +251,20 @@ class TrialResult:
     error: str | None = None
 
 
+def _blas_environment() -> dict:
+    """The libraries and thread settings that a record's timings and last bits depend on."""
+    blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "scipy_blas": f"{blas['name']} {blas['version']}",
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        "usable_cores": cores,
+    }
+
+
 @dataclass
 class ResultRecord:
     config: dict
@@ -256,6 +273,7 @@ class ResultRecord:
     aggregates: dict
     wall_time_s: float
     version: str = __version__
+    environment: dict = field(default_factory=_blas_environment)
 
     def to_jsonable(self) -> dict:
         return asdict(self) | {"columns": list(self.columns)}

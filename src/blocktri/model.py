@@ -216,7 +216,9 @@ def to_dense(ensemble, z: complex, max_dense: int = DEFAULT_DENSE_CAP) -> np.nda
     Plain and periodic ensembles subtract z on the whole diagonal; the
     bordered ensemble subtracts z only on the middle n block rows. The matrix is
     float64 when z and every placed block are real, and complex128 otherwise; a
-    bordered matrix, whose frame rows are complex, is complex128.
+    bordered matrix, whose frame rows are complex, is complex128. It is in
+    Fortran order, so the dense kernels can factor it in place
+    (``overwrite_a=True``) instead of copying it.
     """
     z = complex(z)
     if not isinstance(ensemble, (BlockTridiagonal, PeriodicEnsemble, BorderedEnsemble)):
@@ -237,10 +239,11 @@ def to_dense(ensemble, z: complex, max_dense: int = DEFAULT_DENSE_CAP) -> np.nda
         placed += [(0, 0, top[:, :l]), (0, 1, top[:, l:]), (1, 0, m.lower[0]), (n, n + 1, m.upper[n - 1])]
         placed += [(n + 1, n, bottom[:, :l]), (n + 1, n + 1, bottom[:, l:])]
     real = z.imag == 0 and not any(np.iscomplexobj(b) for _, _, b in placed)
-    out = np.zeros((ensemble.size, ensemble.size), dtype=np.float64 if real else np.complex128)
-    blocks = out.reshape(ensemble.size // l, l, ensemble.size // l, l)  # a view: [r, :, c] is block (r, c)
+    out = np.zeros((ensemble.size, ensemble.size), dtype=np.float64 if real else np.complex128, order="F")
+    nb = ensemble.size // l
+    blocks = out.reshape(l, nb, l, nb, order="F")  # a view: [:, r, :, c] is block (r, c)
     for r, c, b in placed:
-        blocks[r, :, c] = b
+        blocks[:, r, :, c] = b
     i = np.arange(o * l, (o + n) * l)
     out[i, i] -= z.real if real else z
     return out
@@ -249,8 +252,7 @@ def to_dense(ensemble, z: complex, max_dense: int = DEFAULT_DENSE_CAP) -> np.nda
 def operator_norm_check(ensemble) -> bool:
     """Whether the unshifted operator norm stays below the deterministic block bound."""
     inner = ensemble.inner if not isinstance(ensemble, BlockTridiagonal) else ensemble
-    dense = to_dense(ensemble, 0.0)
-    op = float(svd_values(dense)[0])
+    op = float(svd_values(to_dense(ensemble, 0.0), overwrite_a=True)[0])
     max_a = max(float(svd_values(b)[0]) for b in inner.diag)
     max_b = max(float(svd_values(b)[0]) for b in inner.upper)
     max_c = max(float(svd_values(b)[0]) for b in inner.lower)

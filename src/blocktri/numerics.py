@@ -7,8 +7,19 @@ throughout the package.
 
 Real input stays real: a float64 matrix goes to the real LAPACK routines
 (``dgetrf``, ``dgeev``, ``dgesdd``, ...), anything complex to the complex ones.
-LU and QR call ``getrf``/``getrs`` and ``geqrf`` with ``orgqr``/``ungqr``
-directly, without the per-call checks of the ``scipy.linalg`` front ends.
+LU, QR, eigenvalues and singular values call ``getrf``/``getrs``, ``geqrf``
+with ``orgqr``/``ungqr``, ``geev`` and ``gesdd`` of scipy's LAPACK directly,
+without the per-call checks of the ``scipy.linalg`` front ends, so every dense
+factorization runs in one OpenBLAS and its thread pool. ``geev`` and
+``gesdd`` get the optimal workspace from their ``*_lwork`` queries.
+
+`lu_logdet`, `eigvals` and `svd_values` copy their input into the Fortran
+order LAPACK works in, unless called with ``overwrite_a=True``: then a
+Fortran-ordered float64 or complex128 input (such as `model.to_dense` returns)
+is factored in place and its contents are destroyed, so a dense trial holds
+one N-by-N matrix, not two. Because LAPACK does not reject NaN or inf (``geev``
+returns plausible eigenvalues for them), `eigvals` and `svd_values` check that
+every entry is finite first, a block of columns at a time.
 """
 
 from __future__ import annotations
@@ -84,13 +95,16 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
-def lu_logdet(m) -> LogDetResult:
-    """log|det M| from LU pivot magnitudes, never forming the determinant."""
+def lu_logdet(m, overwrite_a: bool = False) -> LogDetResult:
+    """log|det M| from LU pivot magnitudes, never forming the determinant.
+
+    With `overwrite_a`, a Fortran-ordered M may be factored in place.
+    """
     a = _as_square(m)
     if a.shape[0] == 0:
         return LogDetResult(0.0, (np.empty_like(a), np.zeros(0, dtype=np.int32)))
     (getrf,) = get_lapack_funcs(("getrf",), (a,))
-    lu, piv, info = getrf(a)
+    lu, piv, info = getrf(a, overwrite_a=overwrite_a)
     return LogDetResult(pivot_log_magnitude(lu, info), (lu, piv))
 
 
@@ -150,24 +164,66 @@ def qr_thin(m) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def svd_values(m) -> np.ndarray:
-    """Singular values in descending order."""
-    return np.linalg.svd(_as_array(m), compute_uv=False)
+# Entries per finiteness check: the mask of one block of columns, not of the matrix.
+_FINITE_CHUNK = 1 << 16
 
 
-def eigvals(m, cap: int = EIGVALS_CAP) -> np.ndarray:
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of a nonempty matrix is finite, checked a block of columns at a time."""
+    step = max(1, _FINITE_CHUNK // a.shape[0])
+    return all(np.isfinite(a[:, j : j + step]).all() for j in range(0, a.shape[1], step))
+
+
+def svd_values(m, overwrite_a: bool = False) -> np.ndarray:
+    """Singular values in descending order.
+
+    Raises `np.linalg.LinAlgError` for a non-finite entry or when ``gesdd``
+    fails. With `overwrite_a`, a Fortran-ordered M may be destroyed.
+    """
+    a = _as_array(m)
+    if a.ndim != 2:
+        raise ValueError("expected a matrix")
+    if a.size == 0:
+        return np.empty(0, dtype=np.float64)
+    if not _all_finite(a):
+        raise np.linalg.LinAlgError("matrix has a non-finite entry")
+    gesdd, gesdd_lwork = get_lapack_funcs(("gesdd", "gesdd_lwork"), (a,))
+    lwork = int(gesdd_lwork(*a.shape, compute_uv=0, full_matrices=0)[0].real)
+    _, s, _, info = gesdd(a, compute_uv=0, full_matrices=0, lwork=lwork, overwrite_a=overwrite_a)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"gesdd did not converge (info {info})")
+    return s
+
+
+def eigvals(m, cap: int = EIGVALS_CAP, overwrite_a: bool = False) -> np.ndarray:
     """Eigenvalue multiset of a square matrix, dense solve, size-capped.
 
     Always complex128, also for a real matrix whose eigenvalues are all real.
+    Raises `EigenConvergenceError` for a non-finite entry or when ``geev``
+    fails. With `overwrite_a`, a Fortran-ordered M may be destroyed.
     """
     a = _as_square(m)
-    if a.shape[0] > cap:
-        raise SizeCapError(f"matrix size {a.shape[0]} exceeds eigvals cap {cap}")
-    try:
-        ev = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(str(exc)) from exc
-    return ev.astype(np.complex128, copy=False)
+    n = a.shape[0]
+    if n > cap:
+        raise SizeCapError(f"matrix size {n} exceeds eigvals cap {cap}")
+    if n == 0:
+        return np.empty(0, dtype=np.complex128)
+    if not _all_finite(a):
+        raise EigenConvergenceError("matrix has a non-finite entry")
+    geev, geev_lwork = get_lapack_funcs(("geev", "geev_lwork"), (a,))
+    lwork = int(geev_lwork(n, compute_vl=0, compute_vr=0)[0].real)
+    # dgeev returns the real and imaginary parts apart, zgeev the eigenvalues.
+    *w, _, _, info = geev(a, compute_vl=0, compute_vr=0, lwork=lwork, overwrite_a=overwrite_a)
+    if info != 0:
+        raise EigenConvergenceError(f"geev did not converge (info {info})")
+    if len(w) == 1:
+        return w[0]
+    wr, wi = w
+    ev = wr.astype(np.complex128)
+    # As numpy does: an all-real spectrum gets +0 imaginary parts.
+    if wi.any():
+        ev.imag = wi
+    return ev
 
 
 def unitary_complement(q_minus) -> np.ndarray:

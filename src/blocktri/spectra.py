@@ -41,12 +41,12 @@ class EsdSummary:
 
 def singular_values(ensemble, z: complex, max_dense: int = DEFAULT_DENSE_CAP) -> EmpiricalMeasure:
     """Squared singular values of the shifted dense realization."""
-    s = svd_values(to_dense(ensemble, z, max_dense))
+    s = svd_values(to_dense(ensemble, z, max_dense), overwrite_a=True)
     return EmpiricalMeasure.from_values(s**2)
 
 
 def least_singular_value(ensemble, z: complex, max_dense: int = DEFAULT_DENSE_CAP) -> float:
-    s = svd_values(to_dense(ensemble, z, max_dense))
+    s = svd_values(to_dense(ensemble, z, max_dense), overwrite_a=True)
     return float(s[-1])
 
 
@@ -90,8 +90,7 @@ def radial_cdf_distance(eigenvalues) -> float:
 
 def esd(ensemble, cap: int = EIGVALS_CAP) -> EsdSummary:
     """Eigenvalues of the unshifted dense realization plus circular-law statistics."""
-    dense = to_dense(ensemble, 0.0, max_dense=cap)
-    ev = eigvals(dense, cap=cap)
+    ev = eigvals(to_dense(ensemble, 0.0, max_dense=cap), cap=cap, overwrite_a=True)
     fraction = float(np.mean(np.abs(ev) <= 1.0))
     return EsdSummary(ev, fraction, radial_cdf_distance(ev))
 

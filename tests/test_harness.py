@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import blocktri
 from blocktri.harness import (
@@ -102,6 +103,23 @@ def test_emit_header_only_for_empty_trials(tmp_path):
     record = ResultRecord({"experiment": "x"}, ["value"], [], {}, 0.0)
     csv_path, _ = emit(record, tmp_path / "empty")
     assert csv_path.read_text() == "trial,seed,value,status\n"
+
+
+def test_record_reports_the_blas_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    record = run(ExperimentConfig("logdet-identity", n=3, ell=2))
+    env = record.to_jsonable()["environment"]
+    assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+    assert env["scipy_blas"].strip()
+    assert env["OPENBLAS_NUM_THREADS"] == "1" and env["OMP_NUM_THREADS"] is None
+    assert isinstance(env["usable_cores"], int) and env["usable_cores"] >= 1
+    _, json_path = emit(record, tmp_path / "env")
+
+    def reject(token):
+        raise ValueError(token)
+
+    assert json.loads(json_path.read_text(), parse_constant=reject)["environment"] == env
 
 
 def test_config_validation_errors():

@@ -196,23 +196,34 @@ def _expected_blocks(ens):
     + [("periodic", 3, 2), ("periodic", 4, 2)],
 )
 def test_dense_places_every_block_and_shifts_the_named_rows(kind, n, ell):
-    if kind == "periodic":
-        ens = sample_periodic(n, ell, LAW, 19)
-    else:
-        ens = sample_tridiagonal(n, ell, LAW, 19)
-    if kind == "bordered":
-        rng = np.random.default_rng(20)
-        ens = build_bordered(ens, random_exit_frame(ell, rng), random_entry_frame(ell, rng))
-    blocks, shifted = _expected_blocks(ens)
-    z = 0.5 - 0.25j
-    dense = to_dense(ens, z)
-    assert dense.shape == (ens.size, ens.size)
-    for i in range(ens.size // ell):
-        for j in range(ens.size // ell):
-            want = blocks.get((i, j), np.zeros((ell, ell)))
-            if i == j and i in shifted:
-                want = want - z * np.eye(ell)
-            assert np.array_equal(dense[i * ell : (i + 1) * ell, j * ell : (j + 1) * ell], want), (i, j)
+    """Slice by slice against the blocks, for a real and a complex law and real and non-real shifts.
+
+    The matrix is Fortran-ordered, and its block view, which `to_dense`
+    fills, is a view of it.
+    """
+    for law in (AtomLaw("real-gaussian"), LAW):
+        if kind == "periodic":
+            ens = sample_periodic(n, ell, law, 19)
+        else:
+            ens = sample_tridiagonal(n, ell, law, 19)
+        if kind == "bordered":
+            rng = np.random.default_rng(20)
+            ens = build_bordered(ens, random_exit_frame(ell, rng), random_entry_frame(ell, rng))
+        blocks, shifted = _expected_blocks(ens)
+        for z in (0.0, 0.7, 0.5 - 0.25j):
+            dense = to_dense(ens, z)
+            assert dense.shape == (ens.size, ens.size)
+            assert dense.flags.f_contiguous
+            nb = ens.size // ell
+            view = dense.reshape(ell, nb, ell, nb, order="F")
+            assert np.shares_memory(view, dense)
+            for i in range(nb):
+                for j in range(nb):
+                    want = blocks.get((i, j), np.zeros((ell, ell)))
+                    if i == j and i in shifted:
+                        want = want - z * np.eye(ell)
+                    assert np.array_equal(dense[i * ell : (i + 1) * ell, j * ell : (j + 1) * ell], want), (i, j)
+                    assert np.array_equal(view[:, i, :, j], want), (i, j)
     if kind == "bordered":
         with pytest.raises(SizeCapError):
             to_dense(ens, z, max_dense=n * ell)

@@ -178,3 +178,85 @@ def test_eigvals_requires_square():
     with pytest.raises(ValueError):
         eigvals(np.ones((2, 3)))
     assert isinstance(EigenConvergenceError(), Exception)
+
+
+def _inputs(rng, rows, cols):
+    """Real and complex matrices, each in C and in Fortran order."""
+    out = []
+    for m in (rng.standard_normal((rows, cols)), _crandn(rng, rows, cols)):
+        out += [np.ascontiguousarray(m), np.asfortranarray(m)]
+    return out
+
+
+def _kernels():
+    """(name, kernel, result as a tuple of arrays) of each dense kernel with an in-place mode."""
+    return (
+        ("eigvals", eigvals, lambda ev: (ev,)),
+        ("svd_values", svd_values, lambda s: (s,)),
+        ("lu_logdet", lu_logdet, lambda r: (np.float64(r.log_magnitude), *r.factors)),
+    )
+
+
+def test_dense_kernels_leave_their_input_untouched_by_default():
+    rng = np.random.default_rng(11)
+    for m in _inputs(rng, 40, 40):
+        before = m.copy(order="K")
+        for name, kernel, _ in _kernels():
+            kernel(m)
+            assert m.flags.f_contiguous == before.flags.f_contiguous, name
+            assert m.tobytes(order="A") == before.tobytes(order="A"), (name, m.dtype)
+
+
+def test_overwrite_a_gives_the_default_values_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for m in _inputs(rng, 60, 60):
+        for name, kernel, parts in _kernels():
+            want = parts(kernel(m))
+            scratch = m.copy(order="K")
+            got = parts(kernel(scratch, overwrite_a=True))
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True)), (name, m.dtype)
+
+
+def test_overwrite_a_factors_a_fortran_matrix_in_place():
+    rng = np.random.default_rng(13)
+    for m in _inputs(rng, 30, 30)[1::2]:
+        for kernel in (eigvals, svd_values):
+            a = m.copy(order="F")
+            kernel(a, overwrite_a=True)
+            assert not np.array_equal(a, m), kernel.__name__
+        assert np.shares_memory(lu_logdet(m, overwrite_a=True).factors[0], m)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(0.0, np.inf)])
+@pytest.mark.parametrize("shape", [(4, 4), (5, 3), (3, 5), (300, 300)])
+def test_nonfinite_entries_raise_typed_errors(bad, shape):
+    """LAPACK does not reject NaN or inf: dgeev returns eigenvalues, dgesdd zeros."""
+    rng = np.random.default_rng(14)
+    dtypes = (np.complex128,) if isinstance(bad, complex) else (np.float64, np.complex128)
+    for dtype in dtypes:
+        for row, col in ((0, 0), (shape[0] - 1, shape[1] - 1), (shape[0] // 2, shape[1] - 2)):
+            m = np.eye(*shape, dtype=dtype) + 0.1 * rng.standard_normal(shape)
+            m[row, col] = bad
+            for overwrite_a in (False, True):
+                with pytest.raises(np.linalg.LinAlgError):
+                    svd_values(np.asfortranarray(m), overwrite_a=overwrite_a)
+                if shape[0] == shape[1]:
+                    with pytest.raises(EigenConvergenceError):
+                        eigvals(np.asfortranarray(m), overwrite_a=overwrite_a)
+
+
+def test_empty_and_non_square_shapes():
+    rng = np.random.default_rng(15)
+    for dtype in (np.float64, np.complex128):
+        ev = eigvals(np.zeros((0, 0), dtype=dtype))
+        assert ev.shape == (0,) and ev.dtype == np.complex128
+        for shape in ((0, 0), (3, 0), (0, 3)):
+            s = svd_values(np.zeros(shape, dtype=dtype))
+            assert s.shape == (0,) and s.dtype == np.float64
+    for m in (rng.standard_normal((7, 3)), _crandn(rng, 3, 7), _crandn(rng, 1, 5)):
+        s = svd_values(m)
+        assert s.dtype == np.float64 and s.shape == (min(m.shape),)
+        assert np.all(np.diff(s) <= 0)
+        assert np.allclose(s, np.linalg.svd(m, compute_uv=False), rtol=1e-13, atol=0)
+    with pytest.raises(ValueError):
+        svd_values(np.ones(3))
