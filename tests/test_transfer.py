@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from blocktri import transfer
-from blocktri.entropy import AtomLaw, SeedScheme
+from blocktri.entropy import ATOM_KINDS, AtomLaw, SeedScheme
 from blocktri.harness import ExperimentConfig, run
 from blocktri.model import (
     BlockTridiagonal,
@@ -153,14 +155,19 @@ def test_cocycle_trace_total_matches_increment_sum():
     assert abs(trace.total - sum(trace.increments)) < 1e-9
 
 
-def test_one_factorization_per_super_diagonal_block(monkeypatch):
-    """Each sweep factors every B_k once, in row order, and then the final pairing."""
-    calls = []
+def test_one_factorization_per_row(monkeypatch):
+    """The chart factors the entry frame's top block, then one S_k per row, and pairs once.
+
+    `logdet_via_transfer` never factors a B_k; `projected_growth_log` factors
+    each once, after its row's S_k, for the sum it subtracts. With identity
+    frames the log|det S_k| of the factored blocks sum to the log-determinant.
+    """
+    factored, paired = [], []
 
     def counting_getrf(getrf):
         def factor(a, **kwargs):
-            if a.shape[0] == a.shape[1]:  # B_k; the frames are 2ell x ell
-                calls.append(a.copy())
+            if a.shape[0] == a.shape[1]:  # S_k, B_k or the entry frame's top; the frame path's frames are 2ell x ell
+                factored.append(a.copy())
             return getrf(a, **kwargs)
 
         return factor
@@ -169,9 +176,9 @@ def test_one_factorization_per_super_diagonal_block(monkeypatch):
         funcs = get_lapack_funcs(names, *args, **kwargs)
         return tuple(counting_getrf(f) if name == "getrf" else f for name, f in zip(names, funcs))
 
-    def counting_logdet(b):
-        calls.append(b)
-        return lu_logdet(b)
+    def counting_logdet(a):
+        paired.append(a)
+        return lu_logdet(a)
 
     get_lapack_funcs = transfer.get_lapack_funcs
     monkeypatch.setattr(transfer, "get_lapack_funcs", counting_lookup)
@@ -180,17 +187,26 @@ def test_one_factorization_per_super_diagonal_block(monkeypatch):
     stored = [b.copy() for b in m.upper]
     lazy = LazyTridiagonal(5, 3, LAW, 8)
     for z in (0.0, 0.5 + 0.5j, 2.0):
-        calls.clear()
-        assert _rel_close(logdet_via_transfer(m, z), lu_logdet(to_dense(m, z)).log_magnitude, 1e-8)
-        assert len(calls) == m.n + 1
-        assert all(np.array_equal(got, b) for got, b in zip(calls, m.upper))
-        assert calls[-1].shape == (m.ell, m.ell) and all(calls[-1] is not b for b in m.upper)
+        del factored[:], paired[:]
+        value = logdet_via_transfer(m, z)
+        assert _rel_close(value, lu_logdet(to_dense(m, z)).log_magnitude, 1e-12)
+        assert len(factored) == m.n + 1 and len(paired) == 1
+        assert np.array_equal(factored[0], np.eye(m.ell))
+        schur = factored[1:]
+        assert not any(np.array_equal(s, b) for s in schur for b in m.upper)
+        assert _rel_close(sum(lu_logdet(s).log_magnitude for s in schur), value, 1e-12)
         assert all(np.array_equal(b, s) for b, s in zip(m.upper, stored))
-        calls.clear()
-        streamed = logdet_via_transfer(lazy, z)
-        assert len(calls) == m.n + 1
-        assert all(np.array_equal(got, b) for got, b in zip(calls, m.upper))
-        assert streamed == logdet_via_transfer(m, z)
+        del factored[:], paired[:]
+        assert logdet_via_transfer(lazy, z) == value
+        assert len(factored) == m.n + 1 and len(paired) == 1
+        assert all(np.array_equal(got, s) for got, s in zip(factored[1:], schur))
+        del factored[:], paired[:]
+        growth = projected_growth_log(m, z)
+        log_b = sum(lu_logdet(b).log_magnitude for b in m.upper)
+        assert _rel_close(growth + log_b, value, 1e-12)
+        assert len(factored) == 2 * m.n + 1 and len(paired) == 1
+        assert all(np.array_equal(got, b) for got, b in zip(factored[2::2], m.upper))
+        assert all(np.array_equal(got, s) for got, s in zip(factored[1::2], schur))
 
 
 def test_logdet_scalar_case():
@@ -244,6 +260,63 @@ def test_near_singular_slice_is_within_tolerance():
     errors = [t.values["rel_error"] for t in record.trials]
     assert len(errors) == 10 and all(t.status == "ok" for t in record.trials)
     assert max(errors) <= 1e-4, errors
+
+
+# ROADMAP item 2's near-singular-B table: (C, ell, n) at z = 0.5 + 0.1i, master seed 11.
+NEAR_SINGULAR_B = ((20.0, 3, 6), (20.0, 4, 16), (40.0, 2, 32), (40.0, 3, 6), (60.0, 4, 16))
+
+
+@pytest.mark.parametrize("exponent, ell, n", NEAR_SINGULAR_B)
+def test_near_singular_b_matches_dense(exponent, ell, n):
+    """Smoothed Rademacher B blocks are sign matrices plus ell**-C noise: singular in double precision at C >= 40.
+
+    The chart never factors B, so it matches the dense LU and raises nothing.
+    """
+    law, z = AtomLaw("smoothed-rademacher", exponent), 0.5 + 0.1j
+    for trial in range(40):
+        m = sample_tridiagonal(n, ell, law, 11, trial)
+        assert _rel_close(logdet_via_transfer(m, z), lu_logdet(to_dense(m, z)).log_magnitude, 1e-8), trial
+
+
+def _identity_chart(m, z, factor_b=False):
+    return transfer._chart_sweep(m, z, identity_exit_frame(m.ell), identity_entry_frame(m.ell), factor_b)
+
+
+def test_near_singular_slice_trips_the_gate_and_returns_the_frame_value():
+    """At z = 0 the slice's S_k are built from sign matrices plus 3**-20 noise: in every trial one of S_1..S_3 trips the gate."""
+    law = AtomLaw("smoothed-rademacher", 20.0)
+    for trial in range(10):
+        m = sample_tridiagonal(6, 3, law, 0, trial)
+        assert _identity_chart(m, 0j) is None and _identity_chart(m, 0j, True) is None
+        log_b, growth = transfer._frame_parts(m, 0j, identity_exit_frame(3), identity_entry_frame(3), 1)
+        assert logdet_via_transfer(m, 0j) == log_b + growth
+        assert projected_growth_log(m, 0j) == growth
+
+
+def test_full_width_complex_gaussian_stays_on_the_chart():
+    for trial in range(3):
+        m = LazyTridiagonal(48, 48, LAW, 12, trial)
+        for z in (0.0, 2.0):
+            parts = _identity_chart(m, z)
+            assert parts is not None and parts == (0.0, logdet_via_transfer(m, z))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@seed(2008)
+@given(
+    kind=st.sampled_from(ATOM_KINDS),
+    ell=st.integers(1, 3),
+    n=st.sampled_from((1, 2, 3, 5)),
+    master_seed=st.integers(0, 2**32 - 1),
+    z=st.one_of(st.floats(-2.0, 2.0), st.complex_numbers(max_magnitude=2.0)),
+)
+def test_chart_matches_dense_lu(kind, ell, n, master_seed, z):
+    """Both determinant paths against the dense LU, for every law at the smallest n and ell, real and non-real z."""
+    m = sample_tridiagonal(n, ell, AtomLaw(kind), master_seed)
+    dense = lu_logdet(to_dense(m, z)).log_magnitude
+    assert _rel_close(logdet_via_transfer(m, z), dense, 1e-8)
+    log_b = sum(lu_logdet(b).log_magnitude for b in m.upper)
+    assert _rel_close(projected_growth_log(m, z) + log_b, dense, 1e-8)
 
 
 def test_bordered_frames_cannot_be_overridden():
