@@ -9,6 +9,7 @@ from .model import (
     FrameNormalizationError,
     LazyTridiagonal,
     PeriodicEnsemble,
+    boundary_rows,
     build_bordered,
     identity_entry_frame,
     identity_exit_frame,

@@ -2,11 +2,13 @@
 trial orchestration, CSV/JSON output and the CLI.
 
 Library callers and the CLI take the same path: ``run(ExperimentConfig(...))``
-returns a record whose ``aggregates`` summarize each column over the ok trials.
+returns a record whose ``aggregates`` summarize each column over the ok trials
+with finite values, and count (``nonfinite``) the ok trials left out.
 
 Every trial is a pure function of (config, trial index), so records are
 reproducible under a fixed master seed. Each record also names the numpy,
-scipy and BLAS it ran with, the BLAS thread settings and the usable cores.
+scipy and BLAS it ran with, the BLAS thread settings, the thread count in
+force in scipy's OpenBLAS and the usable cores.
 Failed trials are recorded with NaN values instead of aborting the batch.
 Kernels look library functions up in this module's globals at call time, so
 a tracer that patches module attributes sees every call.
@@ -15,6 +17,7 @@ a tracer that patches module attributes sees every call.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -251,6 +254,18 @@ class TrialResult:
     error: str | None = None
 
 
+def _blas_threads() -> int | None:
+    """The thread count in force in scipy's OpenBLAS; None where its library or symbol is not found."""
+    for path in sorted((Path(scipy.__file__).parent.parent / "scipy.libs").glob("libscipy_openblas*")):
+        try:
+            get = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        return int(get())
+    return None
+
+
 def _blas_environment() -> dict:
     """The libraries and thread settings that a record's timings and last bits depend on."""
     blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -261,6 +276,7 @@ def _blas_environment() -> dict:
         "scipy_blas": f"{blas['name']} {blas['version']}",
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        "blas_threads": _blas_threads(),
         "usable_cores": cores,
     }
 
@@ -283,12 +299,16 @@ def _aggregate(columns, trials) -> dict:
     out = {}
     for col in columns:
         vals = np.array([t.values[col] for t in trials if t.status == "ok"], dtype=np.float64)
-        vals = vals[np.isfinite(vals)]
+        finite = np.isfinite(vals)
+        # An ok trial may read -inf (a singular instance); it is counted here, not summarized.
+        nonfinite = int(vals.size - np.count_nonzero(finite))
+        vals = vals[finite]
         if vals.size == 0:
-            out[col] = {"count": 0}
+            out[col] = {"count": 0, "nonfinite": nonfinite}
             continue
         agg = {
             "count": int(vals.size),
+            "nonfinite": nonfinite,
             "mean": float(vals.mean()),
             "std": float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
             "min": float(vals.min()),

@@ -183,14 +183,28 @@ def random_exit_frame(ell: int, rng: np.random.Generator, orthonormal: bool = Tr
     return random_entry_frame(ell, rng, orthonormal=orthonormal).conj().T
 
 
-def build_bordered(inner: BlockTridiagonal, exit_frame, entry_frame) -> BorderedEnsemble:
-    """Attach the boundary rows determined by the exit and entry frames.
+def boundary_rows(exit_frame, entry_frame) -> tuple[np.ndarray, np.ndarray]:
+    """The (top, bottom) ell-by-2ell boundary rows that the exit and entry frames determine.
 
-    Both boundary rows have orthonormal rows. Each is stored with its two
-    halves swapped relative to the canonical pair: swapping the top row's
-    halves recovers the rows annihilating the orthonormalized entry frame,
-    and swapping the bottom row's halves recovers the normalized exit frame.
+    Both have orthonormal rows, whatever the frames' scale. Each is stored
+    with its two halves swapped relative to the canonical pair: swapping the
+    top row's halves recovers the rows annihilating the orthonormalized entry
+    frame, and swapping the bottom row's halves recovers the normalized exit
+    frame.
     """
+    pi = np.asarray(exit_frame, dtype=np.complex128)
+    xi = np.asarray(entry_frame, dtype=np.complex128)
+    ell = pi.shape[0]
+    if pi.shape != (ell, 2 * ell) or xi.shape != (2 * ell, ell):
+        raise ValueError("frame shapes must be (ell, 2ell) and (2ell, ell)")
+    q_in = xi @ inv_sqrt_hermitian(xi.conj().T @ xi)
+    comp = unitary_complement(q_in).conj().T
+    q_out = inv_sqrt_hermitian(pi @ pi.conj().T) @ pi
+    return np.hstack([comp[:, ell:], comp[:, :ell]]), np.hstack([q_out[:, ell:], q_out[:, :ell]])
+
+
+def build_bordered(inner: BlockTridiagonal, exit_frame, entry_frame) -> BorderedEnsemble:
+    """Attach the boundary rows (`boundary_rows`) of exit and entry frames with det(F F*) = 1."""
     ell = inner.ell
     pi = np.asarray(exit_frame, dtype=np.complex128)
     xi = np.asarray(entry_frame, dtype=np.complex128)
@@ -200,14 +214,7 @@ def build_bordered(inner: BlockTridiagonal, exit_frame, entry_frame) -> Bordered
     det_in = np.linalg.det(xi.conj().T @ xi)
     if abs(det_out - 1.0) > FRAME_DET_TOL or abs(det_in - 1.0) > FRAME_DET_TOL:
         raise FrameNormalizationError("frame Gram determinant is not 1")
-
-    q_in = xi @ inv_sqrt_hermitian(xi.conj().T @ xi)
-    comp = unitary_complement(q_in).conj().T
-    top_row = np.hstack([comp[:, ell:], comp[:, :ell]])
-
-    q_out = inv_sqrt_hermitian(pi @ pi.conj().T) @ pi
-    bottom_row = np.hstack([q_out[:, ell:], q_out[:, :ell]])
-    return BorderedEnsemble(inner, top_row, bottom_row, pi, xi)
+    return BorderedEnsemble(inner, *boundary_rows(pi, xi), pi, xi)
 
 
 def to_dense(ensemble, z: complex, max_dense: int = DEFAULT_DENSE_CAP) -> np.ndarray:

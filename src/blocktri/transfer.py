@@ -4,41 +4,35 @@ One step maps a 2ell-by-ell frame through the block companion operator
 ``[[-B^{-1}(A - z), -B^{-1}C], [I, 0]]``. Renormalization replaces the frame
 by another basis of its span, F = F' R, and accumulates log|det R|, the log
 volume growth. The determinant identity holds for any such R (Molinari,
-*LAA* 2008).
+*LAA* 2008): log|det(exit . product . entry)| + sum of log|det B_k| is
+log|det| of the matrix bordered by one boundary block row at each end
+(`model.boundary_rows`).
 
-The determinant paths (`logdet_via_transfer`, `projected_growth_log`) run
-the chart: R is the frame's top block, so the frame stays ``[I; -W_k]``.
-Each row forms the Schur complement S = (A - z) - C W in place, factors it
-once by ``getrf`` and solves W = S^{-1} B; log|det B| + log|det R| collapses
-to log|det S|. This is block LU without pivoting across rows
-(Demmel-Higham-Schreiber, *NLAA* 1995): no B is factored or inverted, so a
-singular or near-singular B does not disturb `logdet_via_transfer`.
-`projected_growth_log` also factors each B once, for the sum of
-log|det B_k| it subtracts, and raises `SingularMatrixError` at a singular B,
-where that sum is infinite. The chart runs in float64 when the blocks, z and
-both frames are real, and in complex128 otherwise.
+The determinant paths (`logdet_via_transfer`, `projected_growth_log`)
+therefore never form a frame: they run one block LU with partial pivoting
+over the block rows of that matrix (LAPACK's ``gbtrf`` taken one block row
+at a time), streamed through one 2ell-by-3ell Fortran buffer. Its top block
+row is the pending row, the Schur complement left by the rows eliminated so
+far, on block columns k, k+1, k+2; the next row is drawn or copied into its
+bottom block row. Per row, ``getrf`` factors the 2ell-by-ell panel [pending
+diagonal block; incoming C], ``laswp`` applies the row swaps to the
+2ell-by-2ell trailing block, one right-side unit-lower ``trsm`` forms
+X = L21 L11^{-1}, and one ``gemm`` leaves the next pending row, incoming -
+X . pending; a final ``getrf`` factors the last pending diagonal block.
+log|det| is the sum of log|U_ii| over all pivots: -inf when one is below
+``PIVOT_FLOOR``, and `SingularMatrixError` when one is NaN or infinite. No B
+is factored or inverted, so a singular B does not disturb
+`logdet_via_transfer`; `projected_growth_log` factors each B once, for the
+sum of log|det B_k| it subtracts, and raises `SingularMatrixError` at a
+singular one, where that sum is infinite. The sweep runs in float64 for a
+plain ensemble of real blocks at a real shift, and in complex128 otherwise.
 
-The chart's gate: when a row's S has LU pivot magnitudes more than
-``1 / CHART_PIVOT_SPREAD`` apart (a zero or NaN pivot counts), or so has the
-entry frame's top block, the sweep restarts from the first row on the frame
-path and returns exactly its value. So does `logdet_via_transfer` with
-``renorm_every > 1``. The frame path solves against each B through one LU
-of it and renormalizes the frame by partial-pivoting LU (the frame becomes
-P L, L unit lower trapezoidal), a third of the work of a QR that forms Q.
-`cocycle_trace` reports the per-step growth increments, which are
-wedge-norm increments only for orthonormal frames, so it runs the frame path
-with the phase-fixed QR (`qr_thin`). The wedge space is never materialized at
+`cocycle_trace` reports the per-step growth increments, which are wedge-norm
+increments only for orthonormal frames, so it carries the frame row by row,
+solving against each B through `solve_lu` and renormalizing by the
+phase-fixed QR (`qr_thin`). The wedge space is never materialized at
 production sizes; frames carry decomposable elements exactly and wedge norms
 are Gram log-determinants.
-
-A sweep owns one `_Workspace`: the row's blocks, W, and the frame path's
-factors, product and two frames, all in the Fortran order that LAPACK and
-BLAS read, and the routines, looked up once. Each row is written into it,
-drawn there by `fill_block` over a `LazyTridiagonal` or copied from a
-materialized ensemble, whose stored blocks are never written; every
-factorization runs in place. Over a `LazyTridiagonal` the rows come from one
-Philox generator per row iterator, rekeyed to each block's (trial, row,
-role) stream, so memory stays at one workspace whatever n is.
 """
 
 from __future__ import annotations
@@ -51,122 +45,18 @@ import numpy as np
 from scipy.linalg.blas import get_blas_funcs
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .model import BorderedEnsemble, LazyTridiagonal, identity_entry_frame, identity_exit_frame
-from .numerics import PIVOT_FLOOR, RankDeficientError, SingularMatrixError, SizeCapError, lu_logdet, pivot_log_magnitude, qr_thin, solve_lu
+from .model import BorderedEnsemble, LazyTridiagonal, boundary_rows, identity_entry_frame, identity_exit_frame
+from .numerics import PIVOT_FLOOR, SingularMatrixError, SizeCapError, pivot_log_magnitude, qr_thin, solve_lu
 
-# The chart factors each row's S only while the smallest LU pivot magnitude
-# is at least this fraction of the largest; past it the sweep restarts on the
-# frame path.
-CHART_PIVOT_SPREAD = 1e-6
+# Rows whose pivot magnitudes are gathered before their logs are summed: at
+# small ell the per-row reductions would cost more than the row's LU.
+_PIVOT_CHUNK = 64
 
 
 @dataclass(frozen=True)
 class CocycleTrace:
     increments: tuple
     total: float
-
-
-class _Workspace:
-    """The buffers and routines of one sweep over rows of block size ell.
-
-    `row` is the (A, B, C) slots a row is written into: A and C are the two
-    halves of ``[A - z | C]`` in `dtype`, and B has `b_dtype`, so a real B is
-    factored by ``dgetrf`` as `lu_logdet` would. The chart (`chart_step`)
-    carries W in `w`; the frame path (`step`, `lu`, `qr`) runs in complex128
-    and carries the current 2ell-by-ell frame in `frame`, writing each next
-    one into the other buffer.
-    """
-
-    def __init__(self, ell: int, b_dtype, dtype=np.complex128):
-        self.ell = ell
-        az_c = np.empty((ell, 2 * ell), dtype=dtype, order="F")
-        self.b = np.empty((ell, ell), dtype=b_dtype, order="F")
-        self.row = (az_c[:, :ell], self.b, az_c[:, ell:])
-        # A's diagonal, as a view, for the shift.
-        self.a_diagonal = az_c.ravel(order="F")[: ell * ell : ell + 1]
-        self.w = np.empty((ell, ell), dtype=dtype, order="F")
-        # The frame path's zgetrs solves against complex factors; a real B's are cast into here.
-        self.b_lu = self.b if self.b.dtype == dtype else np.empty((ell, ell), dtype=dtype, order="F")
-        self.product = np.empty((ell, ell), dtype=dtype, order="F")
-        self.frame, self.spare = (np.empty((2 * ell, ell), dtype=dtype, order="F") for _ in range(2))
-        self.strict_upper = np.triu(np.ones((ell, ell), dtype=bool), 1)
-        (self.getrf_b,) = get_lapack_funcs(("getrf",), dtype=self.b.dtype)
-        self.getrf, self.getrs, self.laswp = get_lapack_funcs(("getrf", "getrs", "laswp"), dtype=dtype)
-        # The products go through scipy's BLAS, the library of the solves and
-        # the factorizations: with numpy's matmul the sweep alternates between
-        # two OpenBLAS thread pools, which at the default thread count made it
-        # 6x slower.
-        (self.gemm,) = get_blas_funcs(("gemm",), dtype=dtype)
-
-    def chart_step(self, z, factor_b: bool) -> tuple[float, float] | None:
-        """Carry W through the row in `row`: S = (A - z) - C W, then W = S^{-1} B.
-
-        S is formed in A's slot and factored there. Returns (log|det S|,
-        log|det B|), the latter 0.0 unless `factor_b`, which factors B in its
-        slot after the solve; returns None, leaving W stale, when S's pivots
-        fail `_chart_log_magnitude`.
-        """
-        a, b, c = self.row
-        self.a_diagonal -= z
-        self.gemm(-1.0, c, self.w, beta=1.0, c=a, overwrite_c=True)
-        lu, piv, info = self.getrf(a, overwrite_a=True)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of getrf")
-        log_s = _chart_log_magnitude(lu)
-        if log_s is None:
-            return None
-        np.copyto(self.w, b)
-        _, info = self.getrs(lu, piv, self.w, overwrite_b=True)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of getrs")
-        if not factor_b:
-            return log_s, 0.0
-        lu_b, _, info = self.getrf_b(b, overwrite_a=True)
-        return log_s, pivot_log_magnitude(lu_b, info)
-
-    def step(self, z: complex) -> float:
-        """Un-normalized transfer of the frame through the row in `row`; returns log|det B|."""
-        ell = self.ell
-        self.a_diagonal -= z
-        lu, piv, info = self.getrf_b(self.b, overwrite_a=True)
-        log_b = pivot_log_magnitude(lu, info)
-        if lu is not self.b_lu:
-            np.copyto(self.b_lu, lu)
-        u, v = self.frame[:ell], self.frame[ell:]
-        w = self.gemm(-1.0, self.row[0], u, c=self.product, overwrite_c=True)
-        w = self.gemm(-1.0, self.row[2], v, beta=1.0, c=w, overwrite_c=True)
-        x, info = self.getrs(self.b_lu, piv, w, overwrite_b=True)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of getrs")
-        self.spare[ell:] = u
-        self.spare[:ell] = x
-        self.frame, self.spare = self.spare, self.frame
-        return log_b
-
-    def lu(self) -> float:
-        """Replace the frame by P L of its pivoted LU, in place; returns log|det U|, the log volume removed."""
-        lu, piv, info = self.getrf(self.frame, overwrite_a=True)
-        growth = pivot_log_magnitude(lu, info, RankDeficientError, "U diagonal")
-        # top - triu(top) leaves L's strictly lower part: U's entries cancel to zero.
-        top = lu[: self.ell]
-        np.subtract(top, top, out=top, where=self.strict_upper)
-        np.fill_diagonal(top, 1)
-        # getrf swapped rows 0, 1, ..., ell-1 in turn; undoing the swaps in
-        # reverse order turns L into P L.
-        self.frame = self.laswp(lu, piv, inc=-1, overwrite_a=True)
-        return growth
-
-    def qr(self) -> float:
-        """Replace the frame by the Q of its phase-fixed QR; returns log|det R|, the log volume removed."""
-        q, r = qr_thin(self.frame)
-        self.frame = q
-        return float(np.sum(np.log(np.diagonal(r).real)))
-
-
-def _b_dtype(model):
-    """The dtype in which `lu_logdet` would factor the model's B_k."""
-    complex_b = model.law.is_complex if isinstance(model, LazyTridiagonal) else any(np.iscomplexobj(b) for b in model.upper)
-    return np.complex128 if complex_b else np.float64
 
 
 def _real_blocks(model) -> bool:
@@ -176,18 +66,80 @@ def _real_blocks(model) -> bool:
     return not any(np.iscomplexobj(b) for b in itertools.chain(model.diag, model.upper, model.lower))
 
 
-def _chart_log_magnitude(lu) -> float | None:
-    """Sum of log|u_ii| over a ``getrf`` result, or None when its pivots spread too far for the chart.
+def _log_magnitude(mags) -> float:
+    """Sum of log over pivot magnitudes: -inf when one is below `PIVOT_FLOOR`, an error when one is NaN or infinite."""
+    if mags.min() < PIVOT_FLOOR:
+        return -math.inf
+    total = float(np.log(mags).sum())
+    if not math.isfinite(total):
+        raise SingularMatrixError("pivot magnitude is not finite")
+    return total
 
-    The pivots spread too far when the smallest magnitude is below
-    `CHART_PIVOT_SPREAD` times the largest or below `PIVOT_FLOOR`; a zero, NaN
-    or infinite pivot counts as a spread.
+
+def _block_lu(inner, z: complex, boundary=None, factor_b: bool = False) -> tuple[float, float]:
+    """(log|det M|, sum of log|det B_k|) by one block LU with partial pivoting over M's block rows.
+
+    M is the plain matrix T - z of `inner`, or with `boundary`, a pair of
+    ell-by-2ell (top, bottom) rows, the bordered matrix of `to_dense`, whose
+    boundary rows are not shifted. The sum reads 0.0 unless `factor_b`; then
+    each B_k is factored, before its row is eliminated, and a singular one
+    raises `SingularMatrixError`.
     """
-    mags = np.abs(lu.diagonal())
-    hi = mags.max()
-    if not (mags.min() >= max(PIVOT_FLOOR, CHART_PIVOT_SPREAD * hi) and hi < math.inf):
-        return None
-    return float(np.log(mags).sum())
+    ell = inner.ell
+    real = boundary is None and complex(z).imag == 0 and _real_blocks(inner)
+    dtype = np.float64 if real else np.complex128
+    shift = complex(z).real if real else complex(z)
+    buf = np.zeros((2 * ell, 3 * ell), dtype=dtype, order="F")
+    pending, incoming = buf[:ell], buf[ell:]
+    panel, trailing = buf[:, :ell], buf[:, ell:]
+    # rows() writes (diag, upper, lower) = (A, B, C) on block columns (k, k+1, k-1).
+    row = (incoming[:, ell : 2 * ell], incoming[:, 2 * ell :], incoming[:, :ell])
+    start = 2 * ell * ell + ell  # A's first diagonal entry in the flat buffer
+    a_diagonal = buf.reshape(-1, order="F")[start : start + ell * (2 * ell + 1) : 2 * ell + 1]
+    getrf, laswp = get_lapack_funcs(("getrf", "laswp"), dtype=dtype)
+    # scipy's BLAS, the library of the factorizations: products through
+    # numpy's matmul would alternate between two OpenBLAS thread pools, which
+    # at the default thread count made an earlier sweep 6x slower.
+    trsm, gemm = get_blas_funcs(("trsm", "gemm"), dtype=dtype)
+    mags = np.empty((_PIVOT_CHUNK, ell))
+    log_det, log_b, filled = 0.0, 0.0, 0
+
+    def record(lu, info):
+        nonlocal log_det, filled
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of getrf")
+        if filled == _PIVOT_CHUNK:
+            log_det += _log_magnitude(mags)
+            filled = 0
+        np.abs(lu.diagonal(), out=mags[filled])
+        filled += 1
+
+    def eliminate():
+        lu, piv, info = getrf(panel, overwrite_a=True)
+        record(lu, info)
+        laswp(trailing, piv, overwrite_a=True)
+        x = trsm(1.0, lu[:ell], lu[ell:], side=1, lower=1, diag=1)
+        pending[:, : 2 * ell] = gemm(-1.0, x, pending[:, ell:], beta=1.0, c=incoming[:, ell:])
+        pending[:, 2 * ell :] = 0
+
+    if boundary is not None:
+        pending[:, : 2 * ell] = boundary[0]
+    for k, _ in enumerate(inner.rows(out=row)):
+        if factor_b:
+            lu_b, _, info = getrf(row[1])
+            log_b += pivot_log_magnitude(lu_b, info)
+        a_diagonal -= shift
+        if k or boundary is not None:
+            eliminate()
+        else:  # T - z has no block column -1: its first row is already pending.
+            pending[:, : 2 * ell] = incoming[:, ell:]
+    if boundary is not None:
+        incoming[:, : 2 * ell] = boundary[1]
+        incoming[:, 2 * ell :] = 0
+        eliminate()
+    lu, _, info = getrf(pending[:, :ell])
+    record(lu, info)
+    return log_det + _log_magnitude(mags[:filled]), log_b
 
 
 def dense_transfer_matrix(diag_block, upper_block, lower_block, z: complex) -> np.ndarray:
@@ -199,25 +151,30 @@ def dense_transfer_matrix(diag_block, upper_block, lower_block, z: complex) -> n
     return np.vstack([top, bottom])
 
 
-def _sweep(model, z: complex, entry_frame, renormalize, renorm_every: int = 1):
-    """Run the frame through all rows, renormalizing by `renormalize` (`_Workspace.lu` or `_Workspace.qr`).
+def _bordering(model, exit_frame=None, entry_frame=None):
+    """(plain ensemble, boundary rows or None, 1/2 log det of the frames' Gram matrices).
 
-    Returns (final frame, increments, start log, sum of log|det B_k|).
+    A bordered ensemble brings its own rows and frames; a plain one is
+    bordered only when a frame is given, the other defaulting to the identity.
     """
-    if renorm_every < 1:
-        raise ValueError("renorm_every must be >= 1")
-    ws = _Workspace(model.ell, _b_dtype(model))
-    if np.shape(entry_frame) != ws.frame.shape:
-        raise ValueError("the entry frame must be 2ell-by-ell")
-    ws.frame[...] = entry_frame
-    log_start = renormalize(ws)
-    increments = []
-    log_b = 0.0
-    for k, _ in enumerate(model.rows(out=ws.row)):
-        log_b += ws.step(z)
-        if (k + 1) % renorm_every == 0 or k == model.n - 1:
-            increments.append(renormalize(ws))
-    return ws.frame, increments, log_start, log_b
+    if isinstance(model, BorderedEnsemble):
+        if exit_frame is not None or entry_frame is not None:
+            raise ValueError("bordered ensembles carry their own frames")
+        pi, xi = model.exit_frame, model.entry_frame
+        return model.inner, (model.top_row, model.bottom_row), _half_log_grams(pi, xi)
+    if exit_frame is None and entry_frame is None:
+        return model, None, 0.0
+    pi = identity_exit_frame(model.ell) if exit_frame is None else np.asarray(exit_frame)
+    xi = identity_entry_frame(model.ell) if entry_frame is None else np.asarray(entry_frame)
+    return model, boundary_rows(pi, xi), _half_log_grams(pi, xi)
+
+
+def _half_log_grams(pi, xi) -> float:
+    return 0.5 * float(np.linalg.slogdet(xi.conj().T @ xi)[1] + np.linalg.slogdet(pi @ pi.conj().T)[1])
+
+
+def _log_r(r) -> float:
+    return float(np.sum(np.log(np.diagonal(r).real)))
 
 
 def cocycle_trace(model, z: complex, entry_frame=None) -> CocycleTrace:
@@ -225,110 +182,47 @@ def cocycle_trace(model, z: complex, entry_frame=None) -> CocycleTrace:
 
     `total` is the log wedge norm of the full product applied to the entry frame.
     """
-    inner, _, xi = _resolve_frames(model, None, entry_frame)
-    _, increments, log_start, _ = _sweep(inner, z, xi, _Workspace.qr)
-    return CocycleTrace(tuple(increments), log_start + float(np.sum(increments)))
-
-
-def _resolve_frames(model, exit_frame, entry_frame):
     if isinstance(model, BorderedEnsemble):
-        if exit_frame is not None or entry_frame is not None:
+        if entry_frame is not None:
             raise ValueError("bordered ensembles carry their own frames")
-        return model.inner, model.exit_frame, model.entry_frame
-    if exit_frame is None:
-        exit_frame = identity_exit_frame(model.ell)
-    if entry_frame is None:
-        entry_frame = identity_entry_frame(model.ell)
-    return model, exit_frame, entry_frame
-
-
-def _chart_sweep(inner, z: complex, exit_frame, entry_frame, factor_b: bool) -> tuple[float, float] | None:
-    """(sum of log|det B_k|, log|det(exit . product . entry)|) by the chart, or None when its gate trips.
-
-    The frame is kept as ``[I; -W] R``: W_0 = -xi_bot xi_top^{-1} and R_0 =
-    xi_top, and each row replaces W by S^{-1} B (`_Workspace.chart_step`). The
-    log volume of the product is then log|det xi_top| + sum of (log|det S_k|
-    - log|det B_k|), and the pairing is log|det(pi_left - pi_right W_n)|.
-    Only with `factor_b` are the B_k factored for their sum; without it the
-    sum reads 0.0 and the second value is log|det| of the whole matrix.
-    """
-    ell = inner.ell
-    pi, xi = np.asarray(exit_frame), np.asarray(entry_frame)
-    if xi.shape != (2 * ell, ell):
+        model, entry_frame = model.inner, model.entry_frame
+    ell = model.ell
+    frame, r = qr_thin(identity_entry_frame(ell) if entry_frame is None else entry_frame)
+    if frame.shape != (2 * ell, ell):
         raise ValueError("the entry frame must be 2ell-by-ell")
-    real = _real_blocks(inner) and complex(z).imag == 0 and not (np.iscomplex(pi).any() or np.iscomplex(xi).any())
-    dtype = np.float64 if real else np.complex128
-    pi, xi = (f.real if real else f for f in (pi, xi))
-    ws = _Workspace(ell, _b_dtype(inner), dtype)
-    # W_0 xi_top = -xi_bot, solved as xi_top^T W_0^T = -xi_bot^T.
-    top, piv, _ = ws.getrf(xi[:ell])
-    log_total = _chart_log_magnitude(top)
-    if log_total is None:
-        return None
-    w0, _ = ws.getrs(top, piv, -xi[ell:].T, trans=1)
-    ws.w[...] = w0.T
-    shift = complex(z).real if real else complex(z)
-    log_b = 0.0
-    for _ in inner.rows(out=ws.row):
-        logs = ws.chart_step(shift, factor_b)
-        if logs is None:
-            return None
-        log_total += logs[0]
-        log_b += logs[1]
-    try:
-        pairing = lu_logdet(pi[:, :ell] - pi[:, ell:] @ ws.w).log_magnitude
-    except SingularMatrixError:
-        return log_b, -math.inf
-    return log_b, log_total + pairing - log_b
-
-
-def _frame_parts(inner, z: complex, exit_frame, entry_frame, renorm_every: int) -> tuple[float, float]:
-    """(sum of log|det B_k|, projected growth) by the pivoted-LU frame path."""
-    frame, increments, log_start, log_b = _sweep(inner, z, entry_frame, _Workspace.lu, renorm_every)
-    try:
-        pairing = lu_logdet(np.asarray(exit_frame, dtype=np.complex128) @ frame).log_magnitude
-    except SingularMatrixError:
-        return log_b, -math.inf
-    return log_b, log_start + float(np.sum(increments)) + pairing
-
-
-def _logdet_parts(model, z, exit_frame, entry_frame, renorm_every, factor_b) -> tuple[float, float]:
-    """(sum of log|det B_k|, projected growth), whose sum is the log-determinant.
-
-    Runs the chart (`_chart_sweep`), which without `factor_b` reads the sum as
-    0.0 and puts the whole log-determinant in the second value. The frame path
-    runs instead when `renorm_every` > 1, and from the first row again when
-    the chart's gate trips, so those calls return what the frame path alone
-    returns.
-    """
-    inner, pi, xi = _resolve_frames(model, exit_frame, entry_frame)
-    parts = _chart_sweep(inner, z, pi, xi, factor_b) if renorm_every == 1 else None
-    return _frame_parts(inner, z, pi, xi, renorm_every) if parts is None else parts
+    increments = []
+    for a, b, c in model.rows():
+        u, v = frame[:ell], frame[ell:]
+        top = solve_lu(b, -((a - z * np.eye(ell)) @ u + c @ v))
+        frame, r_k = qr_thin(np.vstack([top, u]))
+        increments.append(_log_r(r_k))
+    return CocycleTrace(tuple(increments), _log_r(r) + float(np.sum(increments)))
 
 
 def projected_growth_log(model, z: complex, exit_frame=None, entry_frame=None) -> float:
     """log|det(exit . product of transfer operators . entry)|.
 
-    Returns -inf when the final pairing underflows the pivot floor; that is a
-    legitimate outcome at near-singular shifts, not an error. The chart
-    factors each B_k once, for the sum of log|det B_k| it subtracts.
+    The block LU's log|det| of the bordered matrix, minus the sum of
+    log|det B_k| (each B_k factored once), plus 1/2 log det(xi* xi) and
+    1/2 log det(pi pi*) for frames that are not normalized. Returns -inf when
+    a pivot falls below the floor, a legitimate outcome at near-singular
+    shifts; raises `SingularMatrixError` when a B_k is singular.
     """
-    return _logdet_parts(model, z, exit_frame, entry_frame, 1, True)[1]
+    inner, boundary, half_log_grams = _bordering(model, exit_frame, entry_frame)
+    log_det, log_b = _block_lu(inner, z, boundary, factor_b=True)
+    return log_det - log_b + half_log_grams
 
 
-def logdet_via_transfer(model, z: complex, renorm_every: int = 1) -> float:
+def logdet_via_transfer(model, z: complex) -> float:
     """log|det| of the shifted matrix through the transfer recursion.
 
-    For a plain ensemble (materialized or lazy) with identity frames this
-    equals log|det(T - zI)|; for a bordered ensemble it equals log|det| of the
-    bordered matrix under its middle-rows shift convention. The chart sums
-    log|det S_k| of the block LU's Schur complements and never factors or
-    inverts a B_k; on the frame path the super-diagonal bookkeeping term
-    sum of log|det B_k| cancels the inverses inside the product and comes
-    from the same LU factors of B_k as the recursion's solves.
+    For a plain ensemble (materialized or lazy) this equals log|det(T - zI)|;
+    for a bordered ensemble it equals log|det| of the bordered matrix under
+    its middle-rows shift convention. Both are one block LU with partial
+    pivoting over the block rows, which never factors or inverts a B_k.
     """
-    log_b, growth = _logdet_parts(model, z, None, None, renorm_every, False)
-    return log_b + growth
+    inner, boundary, _ = _bordering(model)
+    return _block_lu(inner, z, boundary)[0]
 
 
 def wedge_power_small(g, ell: int) -> np.ndarray:
@@ -357,4 +251,3 @@ def plucker_coordinates(frame) -> np.ndarray:
     m, ell = f.shape
     combos = itertools.combinations(range(m), ell)
     return np.array([np.linalg.det(f[list(rows), :]) for rows in combos])
-

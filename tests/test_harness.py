@@ -10,6 +10,7 @@ import pytest
 import scipy
 
 import blocktri
+from blocktri import harness
 from blocktri.harness import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -114,12 +115,44 @@ def test_record_reports_the_blas_environment(tmp_path, monkeypatch):
     assert env["scipy_blas"].strip()
     assert env["OPENBLAS_NUM_THREADS"] == "1" and env["OMP_NUM_THREADS"] is None
     assert isinstance(env["usable_cores"], int) and env["usable_cores"] >= 1
+    bundled = list((Path(scipy.__file__).parent.parent / "scipy.libs").glob("libscipy_openblas*"))
+    assert env["blas_threads"] is None if not bundled else env["blas_threads"] >= 1
     _, json_path = emit(record, tmp_path / "env")
 
     def reject(token):
         raise ValueError(token)
 
     assert json.loads(json_path.read_text(), parse_constant=reject)["environment"] == env
+
+
+def test_blas_threads_reads_the_pool_and_null_without_the_library(monkeypatch):
+    script = "import sys; sys.path.insert(0, sys.argv[1]); from blocktri import harness; print(harness._blas_threads())"
+    bundled = list((Path(scipy.__file__).parent.parent / "scipy.libs").glob("libscipy_openblas*"))
+    if bundled:
+        src = str(Path(blocktri.__file__).parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", script, src], env=env, capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "1", out.stderr
+
+    def missing(path):
+        raise OSError(path)
+
+    monkeypatch.setattr(harness.ctypes, "CDLL", missing)
+    assert harness._blas_threads() is None
+    assert run(ExperimentConfig("ginibre", n=4)).environment["blas_threads"] is None
+
+
+def test_aggregate_counts_the_nonfinite_values_it_leaves_out():
+    """At C = 60 and ell = 2 the entries are exactly +-1/sqrt(6): a 2 x 2 sign matrix is singular half the time."""
+    cfg = ExperimentConfig("logdet-limit", n=1, ell=2, law_kind="smoothed-rademacher", smoothing_exponent=60.0, trials=8, master_seed=3)
+    record = run(cfg)
+    assert all(t.status == "ok" for t in record.trials)
+    values = np.array([t.values["normalized_logdet"] for t in record.trials])
+    singular = int(np.sum(values == -np.inf))
+    assert 0 < singular < 8
+    agg = record.aggregates["normalized_logdet"]
+    assert (agg["count"], agg["nonfinite"]) == (8 - singular, singular)
+    assert agg["mean"] == pytest.approx(values[np.isfinite(values)].mean())
 
 
 def test_config_validation_errors():

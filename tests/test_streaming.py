@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from blocktri.entropy import ATOM_KINDS, AtomLaw, SeedScheme, fill_block
-from blocktri import transfer
-from blocktri.model import LazyTridiagonal, identity_entry_frame, identity_exit_frame, sample_periodic, sample_rows, sample_tridiagonal
+from blocktri.model import LazyTridiagonal, sample_periodic, sample_rows, sample_tridiagonal
 from blocktri.transfer import cocycle_trace, logdet_via_transfer, projected_growth_log
 
 SHIFTS = (0.0, 0.5 + 0.5j, 2.0)
@@ -51,10 +50,6 @@ def test_streamed_sweep_equals_materialized_bitwise(kind, n, ell):
         assert logdet_via_transfer(lazy, z) == logdet_via_transfer(m, z)
         assert projected_growth_log(lazy, z) == projected_growth_log(m, z)
         assert cocycle_trace(lazy, z) == cocycle_trace(m, z)
-        for factor_b in (False, True):
-            frames = identity_exit_frame(ell), identity_entry_frame(ell), factor_b
-            chart = transfer._chart_sweep(lazy, z, *frames)
-            assert chart is not None and chart == transfer._chart_sweep(m, z, *frames)
 
 
 def test_lazy_ensemble_validates_its_coordinates():

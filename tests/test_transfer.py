@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -17,7 +19,7 @@ from blocktri.model import (
     sample_tridiagonal,
     to_dense,
 )
-from blocktri.numerics import RankDeficientError, SizeCapError, lu_logdet, qr_thin, svd_values
+from blocktri.numerics import SingularMatrixError, SizeCapError, lu_logdet, qr_thin, svd_values
 from blocktri.transfer import (
     cocycle_trace,
     dense_transfer_matrix,
@@ -35,13 +37,8 @@ def _rel_close(a, b, tol):
 
 
 def _one_step(a, b, c, z, frame):
-    """The sweep's un-normalized transfer of `frame` through one row."""
-    ws = transfer._Workspace(len(frame) // 2, np.result_type(float, np.asarray(b)))
-    for slot, block in zip(ws.row, (a, b, c)):
-        slot[...] = block
-    ws.frame[...] = frame
-    ws.step(z)
-    return ws.frame
+    """The un-normalized transfer of `frame` through one row, by the explicit operator."""
+    return dense_transfer_matrix(a, b, c, z) @ np.asarray(frame)
 
 
 def _one_row(a, b, c):
@@ -67,6 +64,7 @@ def test_apply_transfer_shift_only():
 
 
 def test_apply_transfer_matches_dense_operator():
+    """The explicit operator against the step it encodes, and `cocycle_trace`'s one-row increment against it."""
     rng = np.random.default_rng(1)
     ell = 3
     a = rng.standard_normal((ell, ell)) + 1j * rng.standard_normal((ell, ell))
@@ -74,9 +72,12 @@ def test_apply_transfer_matches_dense_operator():
     c = rng.standard_normal((ell, ell)) + 1j * rng.standard_normal((ell, ell))
     frame = random_entry_frame(ell, rng)
     z = 0.3 - 0.8j
-    direct = _one_step(a, b, c, z, frame)
     dense = dense_transfer_matrix(a, b, c, z) @ frame
-    assert np.linalg.norm(direct - dense) < 1e-10
+    u, v = frame[:ell], frame[ell:]
+    assert np.linalg.norm(dense[:ell] - np.linalg.solve(b, -((a - z * np.eye(ell)) @ u + c @ v))) < 1e-10
+    assert np.linalg.norm(dense[ell:] - u) < 1e-14
+    trace = cocycle_trace(BlockTridiagonal(1, ell, (a,), (b,), (c,)), z, entry_frame=frame)
+    assert abs(trace.increments[0] - 0.5 * np.log(abs(np.linalg.det(dense.conj().T @ dense)))) < 1e-10
 
 
 def test_cocycle_step_isometry_has_zero_increment():
@@ -112,42 +113,6 @@ def test_cocycle_step_gram_oracle_and_orthonormality():
         assert np.linalg.norm(frame.conj().T @ frame - np.eye(ell)) < 1e-10
 
 
-@pytest.mark.parametrize("complex_entries, bound", [(False, 1.0), (True, np.sqrt(2.0))])
-def test_lu_renormalization_contracts(complex_entries, bound):
-    """The frame M becomes P L, where M = (P L) U with U upper triangular and L unit lower.
-
-    LAPACK picks a complex pivot by |re| + |im|, so complex multipliers reach sqrt 2 in modulus.
-    """
-    rng = np.random.default_rng(4)
-    for ell in (48, 3, 2, 1):
-        m = rng.standard_normal((2 * ell, ell)) + (1j * rng.standard_normal((2 * ell, ell)) if complex_entries else 0)
-        ws = transfer._Workspace(ell, np.complex128)
-        ws.frame[...] = m
-        growth = ws.lu()
-        pl = ws.frame
-        u = np.linalg.lstsq(pl, m, rcond=None)[0]
-        assert np.linalg.norm(pl @ u - m) <= 1e-13 * np.linalg.norm(m)
-        assert np.linalg.norm(np.tril(u, -1)) <= 1e-13 * np.linalg.norm(u)
-        assert abs(growth - np.sum(np.log(np.abs(np.diagonal(u))))) <= 1e-12 * max(1.0, abs(growth))
-        assert complex_entries or np.all(pl.imag == 0)
-        assert np.max(np.abs(pl)) <= bound * (1 + 1e-15)
-        # The rows of the unit diagonal are distinct rows of M's permutation.
-        unit_rows = [int(np.flatnonzero(pl[:, j] == 1)[0]) for j in range(ell)]
-        assert len(set(unit_rows)) == ell
-        for j, r in enumerate(unit_rows):
-            assert np.all(pl[r, j + 1 :] == 0)
-
-
-def test_lu_renormalization_rank_deficient():
-    m = np.zeros((6, 3), dtype=complex)
-    m[:, 0] = 1.0
-    m[:, 2] = 1.0j
-    ws = transfer._Workspace(3, np.complex128)
-    ws.frame[...] = m
-    with pytest.raises(RankDeficientError):
-        ws.lu()
-
-
 def test_cocycle_trace_total_matches_increment_sum():
     m = sample_tridiagonal(6, 3, LAW, 3)
     trace = cocycle_trace(m, 0.5)
@@ -156,18 +121,18 @@ def test_cocycle_trace_total_matches_increment_sum():
 
 
 def test_one_factorization_per_row(monkeypatch):
-    """The chart factors the entry frame's top block, then one S_k per row, and pairs once.
+    """`logdet_via_transfer` factors one 2ell x ell panel per row after the first, then the last pending block.
 
-    `logdet_via_transfer` never factors a B_k; `projected_growth_log` factors
-    each once, after its row's S_k, for the sum it subtracts. With identity
-    frames the log|det S_k| of the factored blocks sum to the log-determinant.
+    A panel stacks the pending diagonal block over the incoming row's C_k. No
+    B_k is factored; `projected_growth_log` adds one LU of each B_k, taken
+    before its row is eliminated, and eliminates the same panels. A bordered
+    ensemble adds the panel of its bottom boundary row.
     """
-    factored, paired = [], []
+    factored = []
 
     def counting_getrf(getrf):
         def factor(a, **kwargs):
-            if a.shape[0] == a.shape[1]:  # S_k, B_k or the entry frame's top; the frame path's frames are 2ell x ell
-                factored.append(a.copy())
+            factored.append(a.copy())
             return getrf(a, **kwargs)
 
         return factor
@@ -176,37 +141,36 @@ def test_one_factorization_per_row(monkeypatch):
         funcs = get_lapack_funcs(names, *args, **kwargs)
         return tuple(counting_getrf(f) if name == "getrf" else f for name, f in zip(names, funcs))
 
-    def counting_logdet(a):
-        paired.append(a)
-        return lu_logdet(a)
-
     get_lapack_funcs = transfer.get_lapack_funcs
     monkeypatch.setattr(transfer, "get_lapack_funcs", counting_lookup)
-    monkeypatch.setattr(transfer, "lu_logdet", counting_logdet)
-    m = sample_tridiagonal(5, 3, LAW, 8)
+    n, ell = 5, 3
+    m = sample_tridiagonal(n, ell, LAW, 8)
     stored = [b.copy() for b in m.upper]
-    lazy = LazyTridiagonal(5, 3, LAW, 8)
+    lazy = LazyTridiagonal(n, ell, LAW, 8)
+    bordered = build_bordered(m, random_exit_frame(ell, np.random.default_rng(3)), random_entry_frame(ell, np.random.default_rng(4)))
     for z in (0.0, 0.5 + 0.5j, 2.0):
-        del factored[:], paired[:]
+        del factored[:]
         value = logdet_via_transfer(m, z)
         assert _rel_close(value, lu_logdet(to_dense(m, z)).log_magnitude, 1e-12)
-        assert len(factored) == m.n + 1 and len(paired) == 1
-        assert np.array_equal(factored[0], np.eye(m.ell))
-        schur = factored[1:]
-        assert not any(np.array_equal(s, b) for s in schur for b in m.upper)
-        assert _rel_close(sum(lu_logdet(s).log_magnitude for s in schur), value, 1e-12)
+        assert [a.shape for a in factored] == [(2 * ell, ell)] * (n - 1) + [(ell, ell)]
+        assert all(np.array_equal(panel[ell:], c) for panel, c in zip(factored, m.lower[1:]))
+        assert not any(np.array_equal(a, b) for a in factored for b in m.upper)
         assert all(np.array_equal(b, s) for b, s in zip(m.upper, stored))
-        del factored[:], paired[:]
+        panels = factored[:]
+        del factored[:]
         assert logdet_via_transfer(lazy, z) == value
-        assert len(factored) == m.n + 1 and len(paired) == 1
-        assert all(np.array_equal(got, s) for got, s in zip(factored[1:], schur))
-        del factored[:], paired[:]
+        assert len(factored) == n and all(np.array_equal(got, want) for got, want in zip(factored, panels))
+        del factored[:]
         growth = projected_growth_log(m, z)
         log_b = sum(lu_logdet(b).log_magnitude for b in m.upper)
         assert _rel_close(growth + log_b, value, 1e-12)
-        assert len(factored) == 2 * m.n + 1 and len(paired) == 1
-        assert all(np.array_equal(got, b) for got, b in zip(factored[2::2], m.upper))
-        assert all(np.array_equal(got, s) for got, s in zip(factored[1::2], schur))
+        # B_0; then B_k and row k's panel for k = 1, ..., n-1; then the last pending block
+        assert len(factored) == 2 * n
+        assert all(np.array_equal(got, b) for got, b in zip([factored[0], *factored[1:-1:2]], m.upper, strict=True))
+        assert all(np.array_equal(got, want) for got, want in zip(factored[2:-1:2] + factored[-1:], panels, strict=True))
+        del factored[:]
+        assert _rel_close(logdet_via_transfer(bordered, z), lu_logdet(to_dense(bordered, z)).log_magnitude, 1e-12)
+        assert [a.shape for a in factored] == [(2 * ell, ell)] * (n + 1) + [(ell, ell)]
 
 
 def test_logdet_scalar_case():
@@ -245,7 +209,7 @@ def test_logdet_bordered_small_sweep():
 
 
 def test_logdet_matches_dense_at_full_block_width():
-    """n = 16, ell = 48: the LU-renormalized sweep against one dense LU of the 768 x 768 matrix."""
+    """n = 16, ell = 48: the block LU against one dense LU of the 768 x 768 matrix."""
     m = sample_tridiagonal(16, 48, LAW, 12)
     for z in (0.0, 2.0):
         assert _rel_close(logdet_via_transfer(m, z), lu_logdet(to_dense(m, z)).log_magnitude, 1e-12)
@@ -254,12 +218,13 @@ def test_logdet_matches_dense_at_full_block_width():
 def test_near_singular_slice_is_within_tolerance():
     """Smoothed Rademacher at C = 20 makes each B a sign matrix plus a 3**-20 perturbation.
 
-    Trial 4 is the hard case: a QR-renormalized sweep reads a relative error of 0.27 there.
+    Trial 4 is the hard case: a QR-renormalized sweep read a relative error of 0.27 there, and the
+    unpivoted block LU with its frame-path fallback 4.7e-7 in the worst trial.
     """
     record = run(ExperimentConfig("logdet-identity", n=6, ell=3, law_kind="smoothed-rademacher", smoothing_exponent=20.0, trials=10, master_seed=0))
     errors = [t.values["rel_error"] for t in record.trials]
     assert len(errors) == 10 and all(t.status == "ok" for t in record.trials)
-    assert max(errors) <= 1e-4, errors
+    assert max(errors) <= 1e-7, errors
 
 
 # ROADMAP item 2's near-singular-B table: (C, ell, n) at z = 0.5 + 0.1i, master seed 11.
@@ -270,7 +235,7 @@ NEAR_SINGULAR_B = ((20.0, 3, 6), (20.0, 4, 16), (40.0, 2, 32), (40.0, 3, 6), (60
 def test_near_singular_b_matches_dense(exponent, ell, n):
     """Smoothed Rademacher B blocks are sign matrices plus ell**-C noise: singular in double precision at C >= 40.
 
-    The chart never factors B, so it matches the dense LU and raises nothing.
+    The block LU never factors B, so it matches the dense LU and raises nothing.
     """
     law, z = AtomLaw("smoothed-rademacher", exponent), 0.5 + 0.1j
     for trial in range(40):
@@ -278,27 +243,121 @@ def test_near_singular_b_matches_dense(exponent, ell, n):
         assert _rel_close(logdet_via_transfer(m, z), lu_logdet(to_dense(m, z)).log_magnitude, 1e-8), trial
 
 
-def _identity_chart(m, z, factor_b=False):
-    return transfer._chart_sweep(m, z, identity_exit_frame(m.ell), identity_entry_frame(m.ell), factor_b)
+def test_singular_schur_complement_instance_matches_dense():
+    """Smoothed Rademacher C = 60, ell = 8, n = 64, z = 0.5, master seed 11, trial 3.
+
+    Its entries are exactly +-1 / sqrt(24) and its second Schur complement of
+    the unpivoted block LU is exactly singular, while s_min(T - z) = 2.0e-4.
+    A sweep without pivoting across rows had to fall back there, to a path that
+    raised at a singular B_k; the pivoted block LU returns the dense value.
+    """
+    law = AtomLaw("smoothed-rademacher", 60.0)
+    m = sample_tridiagonal(64, 8, law, 11, 3)
+    dense = lu_logdet(to_dense(m, 0.5)).log_magnitude
+    assert abs(dense + 208.868) < 1e-3
+    assert _rel_close(logdet_via_transfer(m, 0.5), dense, 1e-8)
+    config = ExperimentConfig("logdet-limit", n=64, ell=8, z=0.5, law_kind=law.kind, smoothing_exponent=60.0, trials=10, master_seed=11)
+    assert [t.status for t in run(config).trials] == ["ok"] * 10
 
 
-def test_near_singular_slice_trips_the_gate_and_returns_the_frame_value():
-    """At z = 0 the slice's S_k are built from sign matrices plus 3**-20 noise: in every trial one of S_1..S_3 trips the gate."""
-    law = AtomLaw("smoothed-rademacher", 20.0)
-    for trial in range(10):
-        m = sample_tridiagonal(6, 3, law, 0, trial)
-        assert _identity_chart(m, 0j) is None and _identity_chart(m, 0j, True) is None
-        log_b, growth = transfer._frame_parts(m, 0j, identity_exit_frame(3), identity_entry_frame(3), 1)
-        assert logdet_via_transfer(m, 0j) == log_b + growth
-        assert projected_growth_log(m, 0j) == growth
+def _with_blocks(m, k, **blocks):
+    """`m` with row k's `diag`, `upper` or `lower` block replaced."""
+    rows = {role: list(getattr(m, role)) for role in ("diag", "upper", "lower")}
+    for role, block in blocks.items():
+        rows[role][k] = np.asarray(block)
+    return BlockTridiagonal(m.n, m.ell, *(tuple(rows[role]) for role in ("diag", "upper", "lower")))
 
 
-def test_full_width_complex_gaussian_stays_on_the_chart():
-    for trial in range(3):
-        m = LazyTridiagonal(48, 48, LAW, 12, trial)
-        for z in (0.0, 2.0):
-            parts = _identity_chart(m, z)
-            assert parts is not None and parts == (0.0, logdet_via_transfer(m, z))
+def test_exactly_singular_shift_reads_minus_inf_without_a_warning():
+    """Row 1 of T - z is zero in its first scalar row, so det(T - z) = 0 exactly; its B_1 is singular too."""
+    z = 0.5
+    m = sample_tridiagonal(4, 3, AtomLaw("real-gaussian"), 21)
+    a, b, c = (blk.copy() for blk in (m.diag[1], m.upper[1], m.lower[1]))
+    a[0], b[0], c[0] = 0.0, 0.0, 0.0
+    a[0, 0] = z
+    singular = _with_blocks(m, 1, diag=a, upper=b, lower=c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shift in (z, complex(z)):
+            assert logdet_via_transfer(singular, shift) == -np.inf
+            assert logdet_via_transfer(build_bordered(singular, identity_exit_frame(3), identity_entry_frame(3)), shift) == -np.inf
+    with pytest.raises(SingularMatrixError):
+        projected_growth_log(singular, z)
+
+
+def test_nan_block_raises():
+    m = sample_tridiagonal(4, 3, LAW, 22)
+    a = m.diag[2].copy()
+    a[1, 1] = np.nan
+    for bad in (_with_blocks(m, 2, diag=a), _with_blocks(m, 3, lower=a)):
+        with pytest.raises(SingularMatrixError):
+            logdet_via_transfer(bad, 0.5)
+        with pytest.raises(SingularMatrixError):
+            projected_growth_log(bad, 0.5)
+
+
+def test_singular_b_raises_only_in_projected_growth():
+    """B_2 = 0 leaves T - z regular: its log-determinant is finite, and the sum of log|det B_k| is not."""
+    m = _with_blocks(sample_tridiagonal(5, 3, LAW, 23), 2, upper=np.zeros((3, 3)))
+    for z in (0.0, 0.5 + 0.5j):
+        assert _rel_close(logdet_via_transfer(m, z), lu_logdet(to_dense(m, z)).log_magnitude, 1e-12)
+        with pytest.raises(SingularMatrixError):
+            projected_growth_log(m, z)
+
+
+def _is_singular(block) -> bool:
+    try:
+        lu_logdet(block)
+    except SingularMatrixError:
+        return True
+    return False
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@seed(2008)
+@given(
+    exponent=st.sampled_from((1.0, 20.0, 60.0)),
+    ell=st.integers(1, 3),
+    n=st.sampled_from((1, 2, 3, 5)),
+    master_seed=st.integers(0, 2**32 - 1),
+    z=st.one_of(st.floats(-2.0, 2.0), st.complex_numbers(max_magnitude=2.0)),
+)
+def test_smoothed_rademacher_corners(exponent, ell, n, master_seed, z):
+    """Sign matrices plus ell**-C noise, exactly +-1 at C = 60: `projected_growth_log` raises exactly when a B_k is singular."""
+    m = sample_tridiagonal(n, ell, AtomLaw("smoothed-rademacher", exponent), master_seed)
+    value = logdet_via_transfer(m, z)
+    assert _rel_close(value, lu_logdet(to_dense(m, z)).log_magnitude, 1e-8)
+    if any(_is_singular(b) for b in m.upper):
+        with pytest.raises(SingularMatrixError):
+            projected_growth_log(m, z)
+    else:
+        log_b = sum(lu_logdet(b).log_magnitude for b in m.upper)
+        assert _rel_close(projected_growth_log(m, z) + log_b, value, 1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@seed(2008)
+@given(
+    ell=st.integers(1, 3),
+    n=st.sampled_from((1, 2, 3, 5)),
+    master_seed=st.integers(0, 2**32 - 1),
+    z=st.one_of(st.floats(-2.0, 2.0), st.complex_numbers(max_magnitude=2.0)),
+)
+def test_unnormalized_frames_shift_by_their_determinants_and_match_the_wedge_pairing(ell, n, master_seed, z):
+    """Frames xi c and d pi add log|det c| + log|det d|; the value is log|<wedge(d pi), wedge(product) wedge(xi c)>|."""
+    m = sample_tridiagonal(n, ell, LAW, master_seed)
+    rng = np.random.default_rng(master_seed)
+    pi, xi = random_exit_frame(ell, rng), random_entry_frame(ell, rng)
+    c, d = (rng.standard_normal((ell, ell)) + 1j * rng.standard_normal((ell, ell)) for _ in range(2))
+    base = projected_growth_log(m, z, exit_frame=pi, entry_frame=xi)
+    scaled = projected_growth_log(m, z, exit_frame=d @ pi, entry_frame=xi @ c)
+    shift = np.log(abs(np.linalg.det(c))) + np.log(abs(np.linalg.det(d)))
+    assert _rel_close(scaled, base + shift, 1e-8)
+    product = np.eye(2 * ell, dtype=complex)
+    for k in range(n):
+        product = dense_transfer_matrix(m.diag[k], m.upper[k], m.lower[k], z) @ product
+    pairing = plucker_coordinates((d @ pi).T) @ wedge_power_small(product, ell) @ plucker_coordinates(xi @ c)
+    assert _rel_close(scaled, np.log(abs(pairing)), 1e-8)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -310,7 +369,7 @@ def test_full_width_complex_gaussian_stays_on_the_chart():
     master_seed=st.integers(0, 2**32 - 1),
     z=st.one_of(st.floats(-2.0, 2.0), st.complex_numbers(max_magnitude=2.0)),
 )
-def test_chart_matches_dense_lu(kind, ell, n, master_seed, z):
+def test_block_lu_matches_dense_lu(kind, ell, n, master_seed, z):
     """Both determinant paths against the dense LU, for every law at the smallest n and ell, real and non-real z."""
     m = sample_tridiagonal(n, ell, AtomLaw(kind), master_seed)
     dense = lu_logdet(to_dense(m, z)).log_magnitude
@@ -326,14 +385,6 @@ def test_bordered_frames_cannot_be_overridden():
         projected_growth_log(b, 0.0, exit_frame=identity_exit_frame(2))
     with pytest.raises(ValueError):
         cocycle_trace(b, 0.0, entry_frame=identity_entry_frame(2))
-
-
-def test_renormalization_cadence_invariance():
-    m = sample_tridiagonal(32, 8, LAW, 7)
-    for z in (0.0, 0.5 + 0.5j):
-        v1 = logdet_via_transfer(m, z, renorm_every=1)
-        v2 = logdet_via_transfer(m, z, renorm_every=2)
-        assert abs(v1 - v2) <= 1e-8 * max(1.0, abs(v1))
 
 
 def test_frame_representative_invariance():
