@@ -25,7 +25,6 @@ from .numerics import (
     EIGVALS_CAP,
     PIVOT_FLOOR,
     EigenConvergenceError,
-    LogDetResult,
     NumericsError,
     RankDeficientError,
     SingularMatrixError,

@@ -168,19 +168,15 @@ def identity_exit_frame(ell: int) -> np.ndarray:
     return np.hstack([np.eye(ell), np.zeros((ell, ell))]).astype(np.complex128)
 
 
-def random_entry_frame(ell: int, rng: np.random.Generator, orthonormal: bool = True) -> np.ndarray:
-    """Random 2ell-by-ell frame with det(F* F) = 1."""
-    g = rng.standard_normal((2 * ell, ell)) + 1j * rng.standard_normal((2 * ell, ell))
-    if orthonormal:
-        q, _ = np.linalg.qr(g)
-        return q
-    d = np.linalg.det(g.conj().T @ g).real
-    return g / d ** (1.0 / (2 * ell))
+def random_entry_frame(ell: int, rng: np.random.Generator) -> np.ndarray:
+    """Random 2ell-by-ell frame with orthonormal columns."""
+    q, _ = np.linalg.qr(rng.standard_normal((2 * ell, ell)) + 1j * rng.standard_normal((2 * ell, ell)))
+    return q
 
 
-def random_exit_frame(ell: int, rng: np.random.Generator, orthonormal: bool = True) -> np.ndarray:
-    """Random ell-by-2ell frame with det(F F*) = 1."""
-    return random_entry_frame(ell, rng, orthonormal=orthonormal).conj().T
+def random_exit_frame(ell: int, rng: np.random.Generator) -> np.ndarray:
+    """Random ell-by-2ell frame with orthonormal rows."""
+    return random_entry_frame(ell, rng).conj().T
 
 
 def boundary_rows(exit_frame, entry_frame) -> tuple[np.ndarray, np.ndarray]:

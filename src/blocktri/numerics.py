@@ -25,7 +25,6 @@ every entry is finite first, a block of columns at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
@@ -60,34 +59,6 @@ def _as_array(m) -> np.ndarray:
     return a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
 
 
-@dataclass(frozen=True)
-class LogDetResult:
-    """Natural log of |det| plus the LU factors it came from.
-
-    `solve` reuses the kept factors for systems with the same matrix.
-    """
-
-    log_magnitude: float
-    factors: tuple = field(repr=False, compare=False)
-
-    def solve(self, rhs) -> np.ndarray:
-        """Solve M X = RHS with the kept LU factors of M."""
-        lu, piv = self.factors
-        r = _as_array(rhs)
-        if lu.shape[0] != r.shape[0]:
-            raise ValueError("shapes of the LU factors and the right-hand side do not match")
-        if r.size == 0:
-            return np.empty_like(r, dtype=np.result_type(lu, r))
-        (getrs,) = get_lapack_funcs(("getrs",), (lu, r))
-        # The getrs wrapper shifts the pivots to 1-based in place with the GIL
-        # released, so every call gets its own copy: factors shared by several
-        # threads would be corrupted otherwise.
-        x, info = getrs(lu, piv.copy(), r)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of getrs")
-        return x
-
-
 def _as_square(m) -> np.ndarray:
     a = _as_array(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -95,24 +66,24 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
-def lu_logdet(m, overwrite_a: bool = False) -> LogDetResult:
+def lu_logdet(m, overwrite_a: bool = False) -> float:
     """log|det M| from LU pivot magnitudes, never forming the determinant.
 
     With `overwrite_a`, a Fortran-ordered M may be factored in place.
     """
     a = _as_square(m)
     if a.shape[0] == 0:
-        return LogDetResult(0.0, (np.empty_like(a), np.zeros(0, dtype=np.int32)))
+        return 0.0
     (getrf,) = get_lapack_funcs(("getrf",), (a,))
-    lu, piv, info = getrf(a, overwrite_a=overwrite_a)
-    return LogDetResult(pivot_log_magnitude(lu, info), (lu, piv))
+    lu, _, info = getrf(a, overwrite_a=overwrite_a)
+    return pivot_log_magnitude(lu, info)
 
 
-def pivot_log_magnitude(lu, info: int, error: type = SingularMatrixError, what: str = "pivot") -> float:
+def pivot_log_magnitude(lu, info: int) -> float:
     """Sum of log|U_ii| over the pivots of a ``getrf`` result.
 
-    Raises `error` when a pivot magnitude is not finite or below the floor,
-    and `ValueError` when ``getrf`` reported an illegal argument.
+    Raises `SingularMatrixError` when a pivot magnitude is not finite or below
+    the floor, and `ValueError` when ``getrf`` reported an illegal argument.
     """
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf")
@@ -120,16 +91,35 @@ def pivot_log_magnitude(lu, info: int, error: type = SingularMatrixError, what: 
     mags = np.abs(lu.diagonal())
     # A NaN fails the first test; an infinite pivot makes the sum infinite.
     if not mags.min() >= PIVOT_FLOOR:
-        raise error(f"{what} magnitude below floor")
+        raise SingularMatrixError("pivot magnitude below floor")
     total = float(np.log(mags).sum())
     if not math.isfinite(total):
-        raise error(f"{what} magnitude below floor")
+        raise SingularMatrixError("pivot magnitude below floor")
     return total
 
 
 def solve_lu(b, rhs) -> np.ndarray:
-    """Solve B X = RHS through one LU factorization of B."""
-    return lu_logdet(b).solve(rhs)
+    """Solve B X = RHS through one LU factorization of B.
+
+    B is factored in its own dtype and the solve runs in the promoted one, so
+    a real B with a complex right-hand side goes through ``dgetrf`` and then
+    ``zgetrs``. Raises `SingularMatrixError` when a pivot of B is below the
+    floor.
+    """
+    a = _as_square(b)
+    r = _as_array(rhs)
+    if a.shape[0] != r.shape[0]:
+        raise ValueError("shapes of B and the right-hand side do not match")
+    if r.size == 0:
+        return np.empty_like(r, dtype=np.result_type(a, r))
+    (getrf,) = get_lapack_funcs(("getrf",), (a,))
+    lu, piv, info = getrf(a)
+    pivot_log_magnitude(lu, info)
+    (getrs,) = get_lapack_funcs(("getrs",), (lu, r))
+    x, info = getrs(lu, piv, r)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrs")
+    return x
 
 
 def qr_thin(m) -> tuple[np.ndarray, np.ndarray]:

@@ -88,12 +88,12 @@ def test_periodic_needs_three_rows():
         sample_periodic(2, 3, LAW, 0)
 
 
-def test_build_bordered_row_unitarity_and_frames():
+def test_build_bordered_row_unitarity_and_frames(unit_gram_frame):
     rng = np.random.default_rng(7)
     for ell in (1, 2, 4):
         m = sample_tridiagonal(3, ell, LAW, 8)
-        pi = random_exit_frame(ell, rng, orthonormal=False)
-        xi = random_entry_frame(ell, rng, orthonormal=False)
+        pi = unit_gram_frame(ell, rng).conj().T
+        xi = unit_gram_frame(ell, rng)
         b = build_bordered(m, pi, xi)
         eye = np.eye(ell)
         assert np.linalg.norm(b.top_row @ b.top_row.conj().T - eye) < 1e-12

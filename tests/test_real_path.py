@@ -85,8 +85,7 @@ def test_real_kernels_agree_with_complex_cast(kind, n, ell, seed, z):
     assert dense.dtype == np.float64
     cast = dense.astype(np.complex128)
 
-    real_ld, complex_ld = lu_logdet(dense), lu_logdet(cast)
-    assert _rel_close(real_ld.log_magnitude, complex_ld.log_magnitude, 1e-10)
+    assert _rel_close(lu_logdet(dense), lu_logdet(cast), 1e-10)
 
     s_real, s_complex = svd_values(dense), svd_values(cast)
     assert s_real.dtype == np.float64
@@ -114,4 +113,4 @@ def test_transfer_on_real_blocks_matches_dense(kind, n, ell, seed, streamed):
     assert m.upper[0].dtype == (np.complex128 if law.is_complex else np.float64)
     ensemble = LazyTridiagonal(n, ell, law, seed) if streamed else m
     for z in (0.0, 0.5 + 0.5j, 2.0):
-        assert _rel_close(logdet_via_transfer(ensemble, z), lu_logdet(to_dense(m, z)).log_magnitude, 1e-8)
+        assert _rel_close(logdet_via_transfer(ensemble, z), lu_logdet(to_dense(m, z)), 1e-8)

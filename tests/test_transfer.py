@@ -1,7 +1,9 @@
+import itertools
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -19,7 +21,7 @@ from blocktri.model import (
     sample_tridiagonal,
     to_dense,
 )
-from blocktri.numerics import SingularMatrixError, SizeCapError, lu_logdet, qr_thin, svd_values
+from blocktri.numerics import SingularMatrixError, SizeCapError, eigvals, lu_logdet, qr_thin, svd_values
 from blocktri.transfer import (
     cocycle_trace,
     dense_transfer_matrix,
@@ -151,7 +153,7 @@ def test_one_factorization_per_row(monkeypatch):
     for z in (0.0, 0.5 + 0.5j, 2.0):
         del factored[:]
         value = logdet_via_transfer(m, z)
-        assert _rel_close(value, lu_logdet(to_dense(m, z)).log_magnitude, 1e-12)
+        assert _rel_close(value, lu_logdet(to_dense(m, z)), 1e-12)
         assert [a.shape for a in factored] == [(2 * ell, ell)] * (n - 1) + [(ell, ell)]
         assert all(np.array_equal(panel[ell:], c) for panel, c in zip(factored, m.lower[1:]))
         assert not any(np.array_equal(a, b) for a in factored for b in m.upper)
@@ -162,14 +164,14 @@ def test_one_factorization_per_row(monkeypatch):
         assert len(factored) == n and all(np.array_equal(got, want) for got, want in zip(factored, panels))
         del factored[:]
         growth = projected_growth_log(m, z)
-        log_b = sum(lu_logdet(b).log_magnitude for b in m.upper)
+        log_b = sum(lu_logdet(b) for b in m.upper)
         assert _rel_close(growth + log_b, value, 1e-12)
         # B_0; then B_k and row k's panel for k = 1, ..., n-1; then the last pending block
         assert len(factored) == 2 * n
         assert all(np.array_equal(got, b) for got, b in zip([factored[0], *factored[1:-1:2]], m.upper, strict=True))
         assert all(np.array_equal(got, want) for got, want in zip(factored[2:-1:2] + factored[-1:], panels, strict=True))
         del factored[:]
-        assert _rel_close(logdet_via_transfer(bordered, z), lu_logdet(to_dense(bordered, z)).log_magnitude, 1e-12)
+        assert _rel_close(logdet_via_transfer(bordered, z), lu_logdet(to_dense(bordered, z)), 1e-12)
         assert [a.shape for a in factored] == [(2 * ell, ell)] * (n + 1) + [(ell, ell)]
 
 
@@ -188,23 +190,23 @@ def test_logdet_identity_small_sweep():
         m = sample_tridiagonal(n, ell, LAW, 100 + seed)
         for z in (0.0, 0.5 + 0.5j, 2.0):
             lhs = logdet_via_transfer(m, z)
-            rhs = lu_logdet(to_dense(m, z)).log_magnitude
+            rhs = lu_logdet(to_dense(m, z))
             assert _rel_close(lhs, rhs, 1e-8)
             count += 1
     assert count == 36
 
 
-def test_logdet_bordered_small_sweep():
+def test_logdet_bordered_small_sweep(unit_gram_frame):
     rng = np.random.default_rng(5)
     for seed in range(10):
         n = 1 + seed % 6
         ell = 1 + seed % 4
         m = sample_tridiagonal(n, ell, LAW, 200 + seed)
-        orth = seed % 2 == 0
-        b = build_bordered(m, random_exit_frame(ell, rng, orth), random_entry_frame(ell, rng, orth))
+        frame = random_entry_frame if seed % 2 == 0 else unit_gram_frame
+        b = build_bordered(m, frame(ell, rng).conj().T, frame(ell, rng))
         for z in (0.0, 0.5 + 0.5j, 2.0):
             lhs = logdet_via_transfer(b, z)
-            rhs = lu_logdet(to_dense(b, z)).log_magnitude
+            rhs = lu_logdet(to_dense(b, z))
             assert _rel_close(lhs, rhs, 1e-8)
 
 
@@ -212,7 +214,7 @@ def test_logdet_matches_dense_at_full_block_width():
     """n = 16, ell = 48: the block LU against one dense LU of the 768 x 768 matrix."""
     m = sample_tridiagonal(16, 48, LAW, 12)
     for z in (0.0, 2.0):
-        assert _rel_close(logdet_via_transfer(m, z), lu_logdet(to_dense(m, z)).log_magnitude, 1e-12)
+        assert _rel_close(logdet_via_transfer(m, z), lu_logdet(to_dense(m, z)), 1e-12)
 
 
 def test_near_singular_slice_is_within_tolerance():
@@ -240,7 +242,7 @@ def test_near_singular_b_matches_dense(exponent, ell, n):
     law, z = AtomLaw("smoothed-rademacher", exponent), 0.5 + 0.1j
     for trial in range(40):
         m = sample_tridiagonal(n, ell, law, 11, trial)
-        assert _rel_close(logdet_via_transfer(m, z), lu_logdet(to_dense(m, z)).log_magnitude, 1e-8), trial
+        assert _rel_close(logdet_via_transfer(m, z), lu_logdet(to_dense(m, z)), 1e-8), trial
 
 
 def test_singular_schur_complement_instance_matches_dense():
@@ -253,7 +255,7 @@ def test_singular_schur_complement_instance_matches_dense():
     """
     law = AtomLaw("smoothed-rademacher", 60.0)
     m = sample_tridiagonal(64, 8, law, 11, 3)
-    dense = lu_logdet(to_dense(m, 0.5)).log_magnitude
+    dense = lu_logdet(to_dense(m, 0.5))
     assert abs(dense + 208.868) < 1e-3
     assert _rel_close(logdet_via_transfer(m, 0.5), dense, 1e-8)
     config = ExperimentConfig("logdet-limit", n=64, ell=8, z=0.5, law_kind=law.kind, smoothing_exponent=60.0, trials=10, master_seed=11)
@@ -300,7 +302,7 @@ def test_singular_b_raises_only_in_projected_growth():
     """B_2 = 0 leaves T - z regular: its log-determinant is finite, and the sum of log|det B_k| is not."""
     m = _with_blocks(sample_tridiagonal(5, 3, LAW, 23), 2, upper=np.zeros((3, 3)))
     for z in (0.0, 0.5 + 0.5j):
-        assert _rel_close(logdet_via_transfer(m, z), lu_logdet(to_dense(m, z)).log_magnitude, 1e-12)
+        assert _rel_close(logdet_via_transfer(m, z), lu_logdet(to_dense(m, z)), 1e-12)
         with pytest.raises(SingularMatrixError):
             projected_growth_log(m, z)
 
@@ -326,12 +328,12 @@ def test_smoothed_rademacher_corners(exponent, ell, n, master_seed, z):
     """Sign matrices plus ell**-C noise, exactly +-1 at C = 60: `projected_growth_log` raises exactly when a B_k is singular."""
     m = sample_tridiagonal(n, ell, AtomLaw("smoothed-rademacher", exponent), master_seed)
     value = logdet_via_transfer(m, z)
-    assert _rel_close(value, lu_logdet(to_dense(m, z)).log_magnitude, 1e-8)
+    assert _rel_close(value, lu_logdet(to_dense(m, z)), 1e-8)
     if any(_is_singular(b) for b in m.upper):
         with pytest.raises(SingularMatrixError):
             projected_growth_log(m, z)
     else:
-        log_b = sum(lu_logdet(b).log_magnitude for b in m.upper)
+        log_b = sum(lu_logdet(b) for b in m.upper)
         assert _rel_close(projected_growth_log(m, z) + log_b, value, 1e-12)
 
 
@@ -372,10 +374,38 @@ def test_unnormalized_frames_shift_by_their_determinants_and_match_the_wedge_pai
 def test_block_lu_matches_dense_lu(kind, ell, n, master_seed, z):
     """Both determinant paths against the dense LU, for every law at the smallest n and ell, real and non-real z."""
     m = sample_tridiagonal(n, ell, AtomLaw(kind), master_seed)
-    dense = lu_logdet(to_dense(m, z)).log_magnitude
+    dense = lu_logdet(to_dense(m, z))
     assert _rel_close(logdet_via_transfer(m, z), dense, 1e-8)
-    log_b = sum(lu_logdet(b).log_magnitude for b in m.upper)
+    log_b = sum(lu_logdet(b) for b in m.upper)
     assert _rel_close(projected_growth_log(m, z) + log_b, dense, 1e-8)
+
+
+@pytest.mark.parametrize("kind", ATOM_KINDS)
+def test_shift_near_an_eigenvalue_matches_dense_lu_and_eigenvalues(kind):
+    """z at distance delta in {1e-8, 1e-10} from an eigenvalue of T, real and imaginary offsets, ell <= 3, n <= 5.
+
+    A backward-stable value is the exact log|det| of T - z + E with ||E|| <= N eps ||T - z||.
+    To first order, log|det(T - z)| = sum_i log|lambda_i - z| moves by at most
+    ||E|| * sum_i kappa_i / |lambda_i - z|, with kappa_i the condition number of lambda_i;
+    the near eigenvalue's term is about eps ||T|| kappa / delta. Two such values differ by at
+    most twice that bound.
+    """
+    law, eps = AtomLaw(kind), np.finfo(np.float64).eps
+    for ell, n in itertools.product((1, 2, 3), (1, 2, 3, 5)):
+        m = sample_tridiagonal(n, ell, law, 17, trial=10 * ell + n)
+        t = to_dense(m, 0.0)
+        lam = eigvals(t)
+        _, left, right = scipy.linalg.eig(t, left=True, right=True)
+        kappa = np.max(1.0 / np.abs(np.sum(left.conj() * right, axis=0)))  # unit-norm eigenvectors
+        near = lam[(n + ell) % lam.size]
+        for delta, direction in itertools.product((1e-8, 1e-10), (1.0, 1j)):
+            z = near + direction * delta
+            z = z.real if z.imag == 0 else z
+            shifted = to_dense(m, z)
+            tol = 2 * shifted.shape[0] * eps * np.linalg.norm(shifted, 2) * kappa * np.sum(1.0 / np.abs(lam - z))
+            value = logdet_via_transfer(m, z)
+            assert abs(value - lu_logdet(shifted)) <= tol, (ell, n, delta, z)
+            assert abs(value - np.sum(np.log(np.abs(lam - z)))) <= tol, (ell, n, delta, z)
 
 
 def test_bordered_frames_cannot_be_overridden():
@@ -445,13 +475,13 @@ def test_frame_cocycle_matches_wedge_norm():
         assert abs(total - np.log(np.linalg.norm(wedge_vec))) < 1e-8
 
 
-def test_bordered_cocycle_matches_wedge_norm():
+def test_bordered_cocycle_matches_wedge_norm(unit_gram_frame):
     rng = np.random.default_rng(14)
     for n in range(1, 6):
         for ell in range(1, 4):
             m = sample_tridiagonal(n, ell, LAW, 400 + 3 * n + ell)
-            for orth in (True, False):
-                b = build_bordered(m, random_exit_frame(ell, rng, orth), random_entry_frame(ell, rng, orth))
+            for frame in (random_entry_frame, unit_gram_frame):
+                b = build_bordered(m, frame(ell, rng).conj().T, frame(ell, rng))
                 for z in (0.0, 0.5 + 0.5j, 2.0):
                     product = np.eye(2 * ell, dtype=complex)
                     for k in range(n):
