@@ -13,6 +13,18 @@ without the per-call checks of the ``scipy.linalg`` front ends, so every dense
 factorization runs in one OpenBLAS and its thread pool. ``geev`` and
 ``gesdd`` get the optimal workspace from their ``*_lwork`` queries.
 
+The routines come from ``scipy.linalg._flapack`` and ``scipy.linalg._fblas``,
+the compiled modules that ``scipy.linalg.lapack`` and ``scipy.linalg.blas``
+re-export, loaded without running ``scipy.linalg``'s package ``__init__``;
+`get_lapack_funcs` picks the ``d`` or ``z`` routine by name. That
+``__init__`` imports scipy's array-API layer and through it ``numpy.f2py``,
+``numpy.testing``, ``unittest`` and ``email``, about 300 modules, which cost
+each short run more than its numeric work: without them `import blocktri`
+loads 256 modules instead of 552, peaks at 37.7 MB of resident memory
+instead of 56.9 MB, and takes 0.14 s instead of 0.37 s (medians of 12
+fresh processes on 2 cores, BENCH_2026-10-20-imports.json). An ``import
+scipy.linalg`` before or after this one shares the same module objects.
+
 `lu_logdet`, `eigvals` and `svd_values` copy their input into the Fortran
 order LAPACK works in, unless called with ``overwrite_a=True``: then a
 Fortran-ordered float64 or complex128 input (such as `model.to_dense` returns)
@@ -24,13 +36,49 @@ every entry is finite first, a block of columns at a time.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
+import scipy
 
 PIVOT_FLOOR = 1e-300
 EIGVALS_CAP = 4096
+
+
+def _scipy_linalg_module(name: str):
+    """scipy.linalg's compiled module `name`, loaded without running scipy.linalg's ``__init__``.
+
+    It is registered in ``sys.modules`` under its own name, and an entry
+    already there is reused, so an ``import scipy.linalg`` before or after
+    this one shares the module object.
+    """
+    qualname = f"scipy.linalg.{name}"
+    if qualname not in sys.modules:
+        spec = importlib.machinery.PathFinder.find_spec(qualname, [os.path.join(scipy.__path__[0], "linalg")])
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[qualname] = module
+        spec.loader.exec_module(module)
+    return sys.modules[qualname]
+
+
+_flapack = _scipy_linalg_module("_flapack")
+_fblas = _scipy_linalg_module("_fblas")
+
+
+def get_lapack_funcs(names, arrays=(), dtype=None) -> tuple:
+    """The LAPACK or BLAS routines `names`, called as scipy's ``get_lapack_funcs`` is.
+
+    The prefix is ``z`` when the result type of `arrays` (or `dtype`) is
+    complex and ``d`` otherwise: a float64 factor with a complex128 right-hand
+    side takes ``zgetrs``. Inputs are float64 or complex128 here, so this
+    picks the routine scipy's lookup picks.
+    """
+    prefix = "z" if np.result_type(*arrays, dtype).kind == "c" else "d"
+    return tuple(getattr(_flapack, prefix + name, None) or getattr(_fblas, prefix + name) for name in names)
 
 
 class NumericsError(Exception):

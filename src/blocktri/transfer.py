@@ -42,11 +42,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import get_blas_funcs
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .model import BorderedEnsemble, LazyTridiagonal, boundary_rows, identity_entry_frame, identity_exit_frame
-from .numerics import PIVOT_FLOOR, SingularMatrixError, SizeCapError, pivot_log_magnitude, qr_thin, solve_lu
+from .numerics import PIVOT_FLOOR, SingularMatrixError, SizeCapError, get_lapack_funcs, pivot_log_magnitude, qr_thin, solve_lu
 
 # Rows whose pivot magnitudes are gathered before their logs are summed: at
 # small ell the per-row reductions would cost more than the row's LU.
@@ -100,7 +98,7 @@ def _block_lu(inner, z: complex, boundary=None, factor_b: bool = False) -> tuple
     # scipy's BLAS, the library of the factorizations: products through
     # numpy's matmul would alternate between two OpenBLAS thread pools, which
     # at the default thread count made an earlier sweep 6x slower.
-    trsm, gemm = get_blas_funcs(("trsm", "gemm"), dtype=dtype)
+    trsm, gemm = get_lapack_funcs(("trsm", "gemm"), dtype=dtype)
     mags = np.empty((_PIVOT_CHUNK, ell))
     log_det, log_b, filled = 0.0, 0.0, 0
 
