@@ -30,12 +30,10 @@ from .numerics import (
     SingularMatrixError,
     SizeCapError,
     eigvals,
-    inv_sqrt_hermitian,
     lu_logdet,
     qr_thin,
     solve_lu,
     svd_values,
-    unitary_complement,
 )
 from .transfer import (
     CocycleTrace,

@@ -14,12 +14,13 @@ block rows through the same `rows()` iterator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entropy import AtomLaw, SeedScheme, fill_block
-from .numerics import SizeCapError, inv_sqrt_hermitian, svd_values, unitary_complement
+from .numerics import SingularMatrixError, SizeCapError, _phase_fixed_qr, qr_thin, svd_values
 
 DEFAULT_DENSE_CAP = 8192
 FRAME_DET_TOL = 1e-10
@@ -170,8 +171,7 @@ def identity_exit_frame(ell: int) -> np.ndarray:
 
 def random_entry_frame(ell: int, rng: np.random.Generator) -> np.ndarray:
     """Random 2ell-by-ell frame with orthonormal columns."""
-    q, _ = np.linalg.qr(rng.standard_normal((2 * ell, ell)) + 1j * rng.standard_normal((2 * ell, ell)))
-    return q
+    return qr_thin(rng.standard_normal((2 * ell, ell)) + 1j * rng.standard_normal((2 * ell, ell)))[0]
 
 
 def random_exit_frame(ell: int, rng: np.random.Generator) -> np.ndarray:
@@ -179,38 +179,45 @@ def random_exit_frame(ell: int, rng: np.random.Generator) -> np.ndarray:
     return random_entry_frame(ell, rng).conj().T
 
 
-def boundary_rows(exit_frame, entry_frame) -> tuple[np.ndarray, np.ndarray]:
-    """The (top, bottom) ell-by-2ell boundary rows that the exit and entry frames determine.
-
-    Both have orthonormal rows, whatever the frames' scale. Each is stored
-    with its two halves swapped relative to the canonical pair: swapping the
-    top row's halves recovers the rows annihilating the orthonormalized entry
-    frame, and swapping the bottom row's halves recovers the normalized exit
-    frame.
-    """
+def _boundary(exit_frame, entry_frame) -> tuple[tuple, tuple]:
+    """((top, bottom) boundary rows, (1/2 log det(pi pi*), 1/2 log det(xi* xi))) from one phase-fixed QR per frame."""
     pi = np.asarray(exit_frame, dtype=np.complex128)
     xi = np.asarray(entry_frame, dtype=np.complex128)
     ell = pi.shape[0]
     if pi.shape != (ell, 2 * ell) or xi.shape != (2 * ell, ell):
         raise ValueError("frame shapes must be (ell, 2ell) and (2ell, ell)")
-    q_in = xi @ inv_sqrt_hermitian(xi.conj().T @ xi)
-    comp = unitary_complement(q_in).conj().T
-    q_out = inv_sqrt_hermitian(pi @ pi.conj().T) @ pi
-    return np.hstack([comp[:, ell:], comp[:, :ell]]), np.hstack([q_out[:, ell:], q_out[:, :ell]])
+    q_in, _, log_in = _phase_fixed_qr(xi, 2 * ell)
+    q_out, _, log_out = _phase_fixed_qr(pi.conj().T)
+    if -math.inf in (log_in, log_out):
+        raise SingularMatrixError("boundary frame is rank deficient")
+    # Rolling a column block by ell swaps its halves.
+    rows = tuple(np.roll(q, ell, axis=0).conj().T for q in (q_in[:, ell:], q_out))
+    return rows, (log_out, log_in)
+
+
+def boundary_rows(exit_frame, entry_frame) -> tuple[np.ndarray, np.ndarray]:
+    """The (top, bottom) ell-by-2ell boundary rows that the exit and entry frames determine.
+
+    Both have orthonormal rows, whatever the frames' scale. Each is stored
+    with its two halves swapped; swapped back, and with the phase-fixed QRs
+    xi = Q R and pi* = Q' R', the top row is the adjoint of Q's last ell
+    columns, which annihilates xi, and the bottom row is R'^{-*} pi, which is
+    pi itself when pi has orthonormal rows.
+    """
+    return _boundary(exit_frame, entry_frame)[0]
 
 
 def build_bordered(inner: BlockTridiagonal, exit_frame, entry_frame) -> BorderedEnsemble:
-    """Attach the boundary rows (`boundary_rows`) of exit and entry frames with det(F F*) = 1."""
-    ell = inner.ell
+    """Attach the boundary rows (`boundary_rows`) of exit and entry frames, each with det(F F*) = 1."""
     pi = np.asarray(exit_frame, dtype=np.complex128)
     xi = np.asarray(entry_frame, dtype=np.complex128)
-    if pi.shape != (ell, 2 * ell) or xi.shape != (2 * ell, ell):
+    rows, half_log_grams = _boundary(pi, xi)
+    if pi.shape[0] != inner.ell:
         raise ValueError("frame shapes must be (ell, 2ell) and (2ell, ell)")
-    det_out = np.linalg.det(pi @ pi.conj().T)
-    det_in = np.linalg.det(xi.conj().T @ xi)
-    if abs(det_out - 1.0) > FRAME_DET_TOL or abs(det_in - 1.0) > FRAME_DET_TOL:
+    # det(F F*) = exp(2 log det R), checked in log space, where no scale overflows.
+    if not all(math.log1p(-FRAME_DET_TOL) <= 2 * h <= math.log1p(FRAME_DET_TOL) for h in half_log_grams):
         raise FrameNormalizationError("frame Gram determinant is not 1")
-    return BorderedEnsemble(inner, *boundary_rows(pi, xi), pi, xi)
+    return BorderedEnsemble(inner, *rows, pi, xi)
 
 
 def to_dense(ensemble, z: complex, max_dense: int = DEFAULT_DENSE_CAP) -> np.ndarray:

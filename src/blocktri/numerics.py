@@ -3,7 +3,9 @@
 All determinant work happens in log space: the product scales reached by the
 transfer recursion underflow double precision long before the individual
 factors do. A pivot magnitude below ``PIVOT_FLOOR`` is what "singular" means
-throughout the package.
+throughout the package, and `_log_magnitude` is the one reduction of LU pivots
+and QR diagonals to a log: -inf below the floor, `SingularMatrixError` for a
+NaN or infinite magnitude.
 
 Real input stays real: a float64 matrix goes to the real LAPACK routines
 (``dgetrf``, ``dgeev``, ``dgesdd``, ...), anything complex to the complex ones.
@@ -11,7 +13,11 @@ LU, QR, eigenvalues and singular values call ``getrf``/``getrs``, ``geqrf``
 with ``orgqr``/``ungqr``, ``geev`` and ``gesdd`` of scipy's LAPACK directly,
 without the per-call checks of the ``scipy.linalg`` front ends, so every dense
 factorization runs in one OpenBLAS and its thread pool. ``geev`` and
-``gesdd`` get the optimal workspace from their ``*_lwork`` queries.
+``gesdd`` get the optimal workspace from their ``*_lwork`` queries. One
+phase-fixed Householder QR (`_phase_fixed_qr`) serves `qr_thin` and the
+boundary frames of `model.boundary_rows`: its full Q holds a frame's
+orthonormal basis and orthogonal complement, and log det R is half the log
+Gram determinant.
 
 The routines come from ``scipy.linalg._flapack`` and ``scipy.linalg._fblas``,
 the compiled modules that ``scipy.linalg.lapack`` and ``scipy.linalg.blas``
@@ -127,6 +133,16 @@ def lu_logdet(m, overwrite_a: bool = False) -> float:
     return pivot_log_magnitude(lu, info)
 
 
+def _log_magnitude(mags) -> float:
+    """Sum of log over magnitudes: -inf when one is below `PIVOT_FLOOR`, `SingularMatrixError` when one is NaN or infinite."""
+    if mags.min() < PIVOT_FLOOR:
+        return -math.inf
+    total = float(np.log(mags).sum())
+    if not math.isfinite(total):
+        raise SingularMatrixError("magnitude is not finite")
+    return total
+
+
 def pivot_log_magnitude(lu, info: int) -> float:
     """Sum of log|U_ii| over the pivots of a ``getrf`` result.
 
@@ -135,13 +151,9 @@ def pivot_log_magnitude(lu, info: int) -> float:
     """
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf")
-    # info > 0 flags an exact zero pivot, which the floor below also catches.
-    mags = np.abs(lu.diagonal())
-    # A NaN fails the first test; an infinite pivot makes the sum infinite.
-    if not mags.min() >= PIVOT_FLOOR:
-        raise SingularMatrixError("pivot magnitude below floor")
-    total = float(np.log(mags).sum())
-    if not math.isfinite(total):
+    # info > 0 flags an exact zero pivot, which the floor also catches.
+    total = _log_magnitude(np.abs(lu.diagonal()))
+    if total == -math.inf:
         raise SingularMatrixError("pivot magnitude below floor")
     return total
 
@@ -170,11 +182,15 @@ def solve_lu(b, rhs) -> np.ndarray:
     return x
 
 
-def qr_thin(m) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR with the R diagonal made real positive.
+def _phase_fixed_qr(m, columns: int | None = None) -> tuple[np.ndarray, np.ndarray, float]:
+    """(Q, R, log det R) of the Householder QR of M, with R's diagonal made real positive.
 
-    The phase convention removes the unitary ambiguity so repeated frame
-    trajectories are bit-reproducible.
+    ``geqrf`` then ``orgqr``/``ungqr``. Q is the thin factor, or with
+    `columns` up to M's row count, the first `columns` columns of the full
+    unitary; past min(M.shape) they span the orthogonal complement of M's
+    columns. log det R, the `_log_magnitude` of R's diagonal, is
+    1/2 log det(M* M) for a tall M; it is -inf when M is rank deficient, and
+    Q and R are then not phase-fixed.
     """
     a = _as_array(m)
     if a.ndim != 2:
@@ -182,23 +198,38 @@ def qr_thin(m) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = a.shape
     k = min(rows, cols)
     if k == 0:
-        return np.zeros((rows, 0), dtype=a.dtype), np.zeros((0, cols), dtype=a.dtype)
+        return np.zeros((rows, 0), dtype=a.dtype), np.zeros((0, cols), dtype=a.dtype), 0.0
+    columns = k if columns is None else columns
     geqrf, gqr = get_lapack_funcs(("geqrf", "ungqr" if np.iscomplexobj(a) else "orgqr"), (a,))
     qr, tau, _, info = geqrf(a)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of geqrf")
     r = np.triu(qr[:k])
-    q, _, info = gqr(qr[:, :k], tau, overwrite_a=True)
+    reflectors = qr[:, :k] if columns == k else np.hstack([qr[:, :k], np.zeros((rows, columns - k), dtype=qr.dtype)])
+    q, _, info = gqr(reflectors, tau, overwrite_a=True)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of orgqr/ungqr")
     d = np.diagonal(r)
     mags = np.abs(d)
-    if np.any(mags < PIVOT_FLOOR) or not np.all(np.isfinite(mags)):
+    log_det_r = _log_magnitude(mags)
+    if log_det_r > -math.inf:
+        phases = d / mags
+        q[:, :k] *= phases
+        r *= np.conj(phases)[:, None]
+        r[np.arange(k), np.arange(k)] = mags
+    return q, r, log_det_r
+
+
+def qr_thin(m) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR with the R diagonal made real positive.
+
+    The phase convention removes the unitary ambiguity so repeated frame
+    trajectories are bit-reproducible. Raises `RankDeficientError` when a
+    diagonal magnitude of R is below the floor.
+    """
+    q, r, log_det_r = _phase_fixed_qr(m)
+    if log_det_r == -math.inf:
         raise RankDeficientError("R diagonal magnitude below floor")
-    phases = d / mags
-    q *= phases
-    r *= np.conj(phases)[:, None]
-    r[np.arange(k), np.arange(k)] = mags
     return q, r
 
 
@@ -262,29 +293,3 @@ def eigvals(m, cap: int = EIGVALS_CAP, overwrite_a: bool = False) -> np.ndarray:
     if wi.any():
         ev.imag = wi
     return ev
-
-
-def unitary_complement(q_minus) -> np.ndarray:
-    """Orthonormal complement columns: [complement, q_minus] is unitary.
-
-    Deterministic through the Householder QR completion of the input frame.
-    """
-    q = np.asarray(q_minus, dtype=np.complex128)
-    if q.ndim != 2 or q.shape[0] < q.shape[1]:
-        raise ValueError("expected a tall frame")
-    k = q.shape[1]
-    gram_err = np.linalg.norm(q.conj().T @ q - np.eye(k))
-    if gram_err > 1e-10:
-        raise ValueError("input columns are not orthonormal")
-    full, _ = np.linalg.qr(q, mode="complete")
-    return full[:, k:]
-
-
-def inv_sqrt_hermitian(h) -> np.ndarray:
-    """H**(-1/2) for Hermitian positive definite H, eigenvalue-floored."""
-    a = _as_square(h)
-    a = (a + a.conj().T) / 2
-    w, v = np.linalg.eigh(a)
-    if np.any(w < PIVOT_FLOOR):
-        raise SingularMatrixError("eigenvalue below floor in inverse square root")
-    return (v / np.sqrt(w)) @ v.conj().T

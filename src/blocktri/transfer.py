@@ -38,13 +38,12 @@ are Gram log-determinants.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BorderedEnsemble, LazyTridiagonal, boundary_rows, identity_entry_frame, identity_exit_frame
-from .numerics import PIVOT_FLOOR, SingularMatrixError, SizeCapError, get_lapack_funcs, pivot_log_magnitude, qr_thin, solve_lu
+from .model import BorderedEnsemble, LazyTridiagonal, _boundary, identity_entry_frame, identity_exit_frame
+from .numerics import SizeCapError, _log_magnitude, get_lapack_funcs, pivot_log_magnitude, qr_thin, solve_lu
 
 # Rows whose pivot magnitudes are gathered before their logs are summed: at
 # small ell the per-row reductions would cost more than the row's LU.
@@ -62,16 +61,6 @@ def _real_blocks(model) -> bool:
     if isinstance(model, LazyTridiagonal):
         return not model.law.is_complex
     return not any(np.iscomplexobj(b) for b in itertools.chain(model.diag, model.upper, model.lower))
-
-
-def _log_magnitude(mags) -> float:
-    """Sum of log over pivot magnitudes: -inf when one is below `PIVOT_FLOOR`, an error when one is NaN or infinite."""
-    if mags.min() < PIVOT_FLOOR:
-        return -math.inf
-    total = float(np.log(mags).sum())
-    if not math.isfinite(total):
-        raise SingularMatrixError("pivot magnitude is not finite")
-    return total
 
 
 def _block_lu(inner, z: complex, boundary=None, factor_b: bool = False) -> tuple[float, float]:
@@ -154,21 +143,18 @@ def _bordering(model, exit_frame=None, entry_frame=None):
 
     A bordered ensemble brings its own rows and frames; a plain one is
     bordered only when a frame is given, the other defaulting to the identity.
+    The Gram corrections come from the R diagonals of the frames' QRs.
     """
     if isinstance(model, BorderedEnsemble):
         if exit_frame is not None or entry_frame is not None:
             raise ValueError("bordered ensembles carry their own frames")
-        pi, xi = model.exit_frame, model.entry_frame
-        return model.inner, (model.top_row, model.bottom_row), _half_log_grams(pi, xi)
+        return model.inner, (model.top_row, model.bottom_row), sum(_boundary(model.exit_frame, model.entry_frame)[1])
     if exit_frame is None and entry_frame is None:
         return model, None, 0.0
-    pi = identity_exit_frame(model.ell) if exit_frame is None else np.asarray(exit_frame)
-    xi = identity_entry_frame(model.ell) if entry_frame is None else np.asarray(entry_frame)
-    return model, boundary_rows(pi, xi), _half_log_grams(pi, xi)
-
-
-def _half_log_grams(pi, xi) -> float:
-    return 0.5 * float(np.linalg.slogdet(xi.conj().T @ xi)[1] + np.linalg.slogdet(pi @ pi.conj().T)[1])
+    pi = identity_exit_frame(model.ell) if exit_frame is None else exit_frame
+    xi = identity_entry_frame(model.ell) if entry_frame is None else entry_frame
+    rows, half_log_grams = _boundary(pi, xi)
+    return model, rows, sum(half_log_grams)
 
 
 def _log_r(r) -> float:
@@ -219,8 +205,9 @@ def logdet_via_transfer(model, z: complex) -> float:
     its middle-rows shift convention. Both are one block LU with partial
     pivoting over the block rows, which never factors or inverts a B_k.
     """
-    inner, boundary, _ = _bordering(model)
-    return _block_lu(inner, z, boundary)[0]
+    if isinstance(model, BorderedEnsemble):
+        return _block_lu(model.inner, z, (model.top_row, model.bottom_row))[0]
+    return _block_lu(model, z)[0]
 
 
 def wedge_power_small(g, ell: int) -> np.ndarray:

@@ -73,6 +73,37 @@ assert sys.modules["scipy.linalg._flapack"] is flapack and sys.modules["scipy.li
 """
 
 
+# numpy.linalg's kernels refused: every dense kernel of the package runs in scipy's LAPACK and BLAS.
+# The test oracles wedge_power_small and plucker_coordinates are left out; they call numpy's det.
+_NO_NUMPY_LINALG = """
+import numpy as np
+
+def refuse(name):
+    def stub(*args, **kwargs):
+        raise AssertionError(f"numpy.linalg.{name} called")
+    return stub
+
+for name in ("qr", "eigh", "slogdet", "det", "norm", "svd", "eigvals", "inv", "solve"):
+    setattr(np.linalg, name, refuse(name))
+
+import blocktri as bt
+from blocktri import harness
+
+for experiment in harness.EXPERIMENTS:
+    record = harness.run(harness.ExperimentConfig(experiment, n=4, ell=2, z=0.5, trials=2))
+    assert all(t.status == "ok" for t in record.trials), (experiment, [t.error for t in record.trials])
+m = bt.sample_tridiagonal(4, 2, bt.AtomLaw("complex-gaussian"), 1)
+rng = np.random.default_rng(0)
+pi = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+xi = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+assert np.isfinite(bt.projected_growth_log(m, 0.5, pi, xi))
+b = bt.build_bordered(m, bt.random_exit_frame(2, rng), bt.random_entry_frame(2, rng))
+assert np.isfinite(bt.logdet_via_transfer(b, 0.5))
+assert np.isfinite(bt.cocycle_trace(b, 0.5).total)
+assert bt.least_singular_value(b, 0.5) > 0
+"""
+
+
 def _run_fresh(code: str) -> None:
     src = str(Path(blocktri.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -83,6 +114,11 @@ def _run_fresh(code: str) -> None:
 def test_package_work_never_imports_scipy_linalg():
     """Import cost: a sweep, the dense kernels and the CLI run without scipy.linalg, numpy.f2py or numpy.testing."""
     _run_fresh(_WORK)
+
+
+def test_package_work_never_calls_numpy_linalg():
+    """All registry experiments, explicit and random frames, and a bordered sweep run with numpy.linalg's kernels refused."""
+    _run_fresh(_NO_NUMPY_LINALG)
 
 
 def test_blocktri_first_shares_the_modules_with_a_later_scipy_linalg():

@@ -147,6 +147,14 @@ def test_build_bordered_rejects_bad_frames():
     xi_singular[1, 1] = 0.0
     with pytest.raises((FrameNormalizationError, SingularMatrixError)):
         build_bordered(m, identity_exit_frame(2), xi_singular)
+    # det(pi pi*) = 2 and det(xi* xi) = 1/2: their product is 1, but each frame is checked on its own.
+    with pytest.raises(FrameNormalizationError):
+        build_bordered(m, 2.0 ** (1 / 4) * identity_exit_frame(2), 2.0 ** (-1 / 4) * identity_entry_frame(2))
+    # A Gram determinant that overflows, and a NaN frame, must not pass as det = 1.
+    with pytest.raises(FrameNormalizationError):
+        build_bordered(m, 1e200 * identity_exit_frame(2), identity_entry_frame(2))
+    with pytest.raises(SingularMatrixError):
+        build_bordered(m, identity_exit_frame(2), np.full((4, 2), np.nan, dtype=complex))
 
 
 def test_operator_norm_check():

@@ -8,12 +8,10 @@ from blocktri.numerics import (
     SingularMatrixError,
     SizeCapError,
     eigvals,
-    inv_sqrt_hermitian,
     lu_logdet,
     qr_thin,
     solve_lu,
     svd_values,
-    unitary_complement,
 )
 
 
@@ -154,35 +152,6 @@ def test_eigvals_complex_for_real_spectrum():
         ev = eigvals(m)
         assert ev.dtype == np.complex128
         assert np.array_equal(np.sort(ev.real), np.sort(np.diag(m))) and np.all(ev.imag == 0)
-
-
-def test_unitary_complement():
-    ell = 3
-    q_minus = np.vstack([np.zeros((ell, ell)), np.eye(ell)]).astype(complex)
-    comp = unitary_complement(q_minus)
-    assert np.linalg.norm(comp[ell:]) < 1e-12  # spans the first ell coordinates
-    v = np.array([[1.0], [1.0]]) / np.sqrt(2)
-    comp1 = unitary_complement(v)
-    target = np.array([1.0, -1.0]) / np.sqrt(2)
-    overlap = abs(np.vdot(comp1[:, 0], target))
-    assert overlap == pytest.approx(1.0, abs=1e-12)
-    rng = np.random.default_rng(6)
-    q, _ = np.linalg.qr(_crandn(rng, 8, 4))
-    comp = unitary_complement(q)
-    full = np.hstack([comp, q])
-    assert np.linalg.norm(full.conj().T @ full - np.eye(8)) < 1e-10
-    with pytest.raises(ValueError):
-        unitary_complement(2.0 * q)
-
-
-def test_inv_sqrt_hermitian():
-    rng = np.random.default_rng(7)
-    g = _crandn(rng, 5, 5)
-    h = g.conj().T @ g + np.eye(5)
-    s = inv_sqrt_hermitian(h)
-    assert np.linalg.norm(s @ h @ s - np.eye(5)) < 1e-10
-    with pytest.raises(SingularMatrixError):
-        inv_sqrt_hermitian(np.diag([1.0, 0.0]))
 
 
 def test_eigvals_requires_square():
