@@ -67,16 +67,13 @@ class ConfigError(ValueError):
 # column order.
 
 
-def _plain(config: ExperimentConfig, trial: int):
-    return sample_tridiagonal(config.n, config.ell, config.law(), config.master_seed, trial)
-
-
 def _lazy(config: ExperimentConfig, trial: int) -> LazyTridiagonal:
     return LazyTridiagonal(config.n, config.ell, config.law(), config.master_seed, trial)
 
 
 def _logdet_identity(config: ExperimentConfig, trial: int) -> tuple:
-    model = _plain(config, trial)
+    # Both sides read the instance, so it is drawn once and kept.
+    model = sample_tridiagonal(config.n, config.ell, config.law(), config.master_seed, trial)
     via_transfer = logdet_via_transfer(model, config.z)
     dense = lu_logdet(to_dense(model, config.z, config.max_dense), overwrite_a=True)
     return via_transfer, dense, abs(via_transfer - dense) / max(1.0, abs(dense))
@@ -88,19 +85,19 @@ def _logdet_limit(config: ExperimentConfig, trial: int) -> tuple:
 
 
 def _esd(config: ExperimentConfig, trial: int) -> tuple:
-    summary = esd(_plain(config, trial), cap=min(config.max_dense, EIGVALS_CAP))
+    summary = esd(_lazy(config, trial), cap=min(config.max_dense, EIGVALS_CAP))
     return summary.fraction_in_unit_disk, summary.radial_cdf_distance
 
 
 def _lsv_tail(config: ExperimentConfig, trial: int) -> tuple:
-    model = _plain(config, trial)
+    model = _lazy(config, trial)
     rng = SeedScheme(config.master_seed).stream(trial, 0, "frames")
     bordered = build_bordered(model, random_exit_frame(config.ell, rng), random_entry_frame(config.ell, rng))
     return (least_singular_value(bordered, config.z, config.max_dense),)
 
 
 def _rigidity(config: ExperimentConfig, trial: int) -> tuple:
-    measure = singular_values(_plain(config, trial), config.z, config.max_dense)
+    measure = singular_values(_lazy(config, trial), config.z, config.max_dense)
     threshold = config.threshold if config.threshold is not None else config.ell ** (-0.1)
     return (float(rigidity_count(measure, threshold)),)
 

@@ -8,8 +8,9 @@ the transfer recursion, which is why they are sampled up front.
 Each block comes from its own (trial, row, role) stream, so the rows can also
 be drawn one at a time (`sample_rows`): `LazyTridiagonal` names a plain
 ensemble without holding its blocks, and the transfer recursion over it keeps
-one row in memory at a time. Both plain ensembles hand the recursion their
-block rows through the same `rows()` iterator.
+one row in memory at a time. `_block_rows` and `_real_blocks` are the one
+block layout and dtype rule of every realized matrix: `to_dense` places the
+rows that the transfer sweep eliminates.
 """
 
 from __future__ import annotations
@@ -82,12 +83,12 @@ class LazyTridiagonal:
 
 @dataclass(frozen=True)
 class BorderedEnsemble:
-    """Inner blocks plus orthonormal boundary rows produced by `build_bordered`."""
+    """A plain ensemble, the orthonormal boundary rows of a frame pair and the frames' 1/2 log-Gram sum (`build_bordered`)."""
 
-    inner: BlockTridiagonal
+    inner: BlockTridiagonal | LazyTridiagonal
     top_row: np.ndarray
     bottom_row: np.ndarray
-    exit_frame: np.ndarray
+    half_log_grams: float
     entry_frame: np.ndarray
 
     @property
@@ -207,7 +208,7 @@ def boundary_rows(exit_frame, entry_frame) -> tuple[np.ndarray, np.ndarray]:
     return _boundary(exit_frame, entry_frame)[0]
 
 
-def build_bordered(inner: BlockTridiagonal, exit_frame, entry_frame) -> BorderedEnsemble:
+def build_bordered(inner: BlockTridiagonal | LazyTridiagonal, exit_frame, entry_frame) -> BorderedEnsemble:
     """Attach the boundary rows (`boundary_rows`) of exit and entry frames, each with det(F F*) = 1."""
     pi = np.asarray(exit_frame, dtype=np.complex128)
     xi = np.asarray(entry_frame, dtype=np.complex128)
@@ -217,45 +218,69 @@ def build_bordered(inner: BlockTridiagonal, exit_frame, entry_frame) -> Bordered
     # det(F F*) = exp(2 log det R), checked in log space, where no scale overflows.
     if not all(math.log1p(-FRAME_DET_TOL) <= 2 * h <= math.log1p(FRAME_DET_TOL) for h in half_log_grams):
         raise FrameNormalizationError("frame Gram determinant is not 1")
-    return BorderedEnsemble(inner, *rows, pi, xi)
+    return BorderedEnsemble(inner, *rows, sum(half_log_grams), xi)
+
+
+def _real_blocks(ensemble) -> bool:
+    """Whether every block, placed or not, is real: then the dense matrix and the sweep are float64 at a real z."""
+    if isinstance(ensemble, LazyTridiagonal):
+        return not ensemble.law.is_complex
+    if isinstance(ensemble, BlockTridiagonal):
+        return not any(np.iscomplexobj(b) for b in (*ensemble.diag, *ensemble.upper, *ensemble.lower))
+    bordered = isinstance(ensemble, BorderedEnsemble)
+    own = (ensemble.top_row, ensemble.bottom_row) if bordered else (ensemble.corner_top, ensemble.corner_bottom)
+    return not any(np.iscomplexobj(b) for b in own) and _real_blocks(ensemble.inner)
+
+
+def _block_rows(ensemble, out=None):
+    """((diag, upper, lower), inner) for each block row of a plain or bordered ensemble's matrix, top to bottom.
+
+    Row r's blocks sit on block columns r, r+1 and r-1; one whose column falls
+    outside the matrix is not placed. `inner` marks the plain ensemble's own
+    rows, which carry the shift and a B; a bordered ensemble adds an unshifted
+    boundary row at each end. `out` is as in `sample_rows`.
+    """
+    plain = ensemble.inner if isinstance(ensemble, BorderedEnsemble) else ensemble
+    top = bottom = ()
+    if plain is not ensemble:
+        l, t, b = plain.ell, ensemble.top_row, ensemble.bottom_row
+        top, bottom = [(t[:, :l], t[:, l:], 0)], [(b[:, l:], 0, b[:, :l])]
+        if out is not None:
+            top, bottom = _copied_rows(top, out), _copied_rows(bottom, out)
+    yield from ((row, False) for row in top)
+    yield from ((row, True) for row in plain.rows(out))
+    yield from ((row, False) for row in bottom)
 
 
 def to_dense(ensemble, z: complex, max_dense: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     """Dense realization of the shifted matrix.
 
-    Plain and periodic ensembles subtract z on the whole diagonal; the
-    bordered ensemble subtracts z only on the middle n block rows. The matrix is
-    float64 when z and every placed block are real, and complex128 otherwise; a
-    bordered matrix, whose frame rows are complex, is complex128. It is in
-    Fortran order, so the dense kernels can factor it in place
-    (``overwrite_a=True``) instead of copying it.
+    Plain ensembles, materialized or lazy, and periodic ones subtract z on the
+    whole diagonal; the bordered ensemble subtracts z only on the middle n
+    block rows. The matrix is float64 when z and every block are real, and
+    complex128 otherwise (`_real_blocks`). It is in Fortran order, so the
+    dense kernels can factor it in place (``overwrite_a=True``).
     """
     z = complex(z)
-    if not isinstance(ensemble, (BlockTridiagonal, PeriodicEnsemble, BorderedEnsemble)):
+    if not isinstance(ensemble, (BlockTridiagonal, LazyTridiagonal, PeriodicEnsemble, BorderedEnsemble)):
         raise TypeError(f"unsupported ensemble type {type(ensemble).__name__}")
     if ensemble.size > max_dense:
         raise SizeCapError(f"dense size {ensemble.size} exceeds cap {max_dense}")
-    m = getattr(ensemble, "inner", ensemble)
-    n, l = m.n, m.ell
-    o = int(isinstance(ensemble, BorderedEnsemble))  # block offset of the plain part
-    # (block row, block column, block)
-    placed = [(o + k, o + k, m.diag[k]) for k in range(n)]
-    placed += [(o + k, o + k + 1, m.upper[k]) for k in range(n - 1)]
-    placed += [(o + k + 1, o + k, m.lower[k + 1]) for k in range(n - 1)]
-    if isinstance(ensemble, PeriodicEnsemble):
-        placed += [(0, n - 1, ensemble.corner_top), (n - 1, 0, ensemble.corner_bottom)]
-    if isinstance(ensemble, BorderedEnsemble):
-        top, bottom = ensemble.top_row, ensemble.bottom_row
-        placed += [(0, 0, top[:, :l]), (0, 1, top[:, l:]), (1, 0, m.lower[0]), (n, n + 1, m.upper[n - 1])]
-        placed += [(n + 1, n, bottom[:, :l]), (n + 1, n + 1, bottom[:, l:])]
-    real = z.imag == 0 and not any(np.iscomplexobj(b) for _, _, b in placed)
-    out = np.zeros((ensemble.size, ensemble.size), dtype=np.float64 if real else np.complex128, order="F")
+    real = z.imag == 0 and _real_blocks(ensemble)
+    periodic = isinstance(ensemble, PeriodicEnsemble)
+    l = getattr(ensemble, "inner", ensemble).ell
     nb = ensemble.size // l
+    out = np.zeros((ensemble.size, ensemble.size), dtype=np.float64 if real else np.complex128, order="F")
     blocks = out.reshape(l, nb, l, nb, order="F")  # a view: [:, r, :, c] is block (r, c)
-    for r, c, b in placed:
-        blocks[:, r, :, c] = b
-    i = np.arange(o * l, (o + n) * l)
-    out[i, i] -= z.real if real else z
+    for r, (row, inner) in enumerate(_block_rows(ensemble.inner if periodic else ensemble)):
+        for c, b in zip((r, r + 1, r - 1), row):
+            if 0 <= c < nb:
+                blocks[:, r, :, c] = b
+        if inner:
+            blocks[:, r, :, r][np.diag_indices(l)] -= z.real if real else z
+    if periodic:
+        blocks[:, 0, :, nb - 1] = ensemble.corner_top
+        blocks[:, nb - 1, :, 0] = ensemble.corner_bottom
     return out
 
 

@@ -11,26 +11,28 @@ log|det| of the matrix bordered by one boundary block row at each end
 The determinant paths (`logdet_via_transfer`, `projected_growth_log`)
 therefore never form a frame: they run one block LU with partial pivoting
 over the block rows of that matrix (LAPACK's ``gbtrf`` taken one block row
-at a time), streamed through one 2ell-by-3ell Fortran buffer. Its top block
-row is the pending row, the Schur complement left by the rows eliminated so
-far, on block columns k, k+1, k+2; the next row is drawn or copied into its
-bottom block row. Per row, ``getrf`` factors the 2ell-by-ell panel [pending
-diagonal block; incoming C], ``laswp`` applies the row swaps to the
-2ell-by-2ell trailing block, one right-side unit-lower ``trsm`` forms
-X = L21 L11^{-1}, and one ``gemm`` leaves the next pending row, incoming -
-X . pending; a final ``getrf`` factors the last pending diagonal block.
-log|det| is the sum of log|U_ii| over all pivots: -inf when one is below
-``PIVOT_FLOOR``, and `SingularMatrixError` when one is NaN or infinite. No B
-is factored or inverted, so a singular B does not disturb
-`logdet_via_transfer`; `projected_growth_log` factors each B once, for the
-sum of log|det B_k| it subtracts, and raises `SingularMatrixError` at a
-singular one, where that sum is infinite. The sweep runs in float64 for a
-plain ensemble of real blocks at a real shift, and in complex128 otherwise.
+at a time), streamed through one 2ell-by-3ell Fortran buffer. Its rows and
+dtype are `model.to_dense`'s (`model._block_rows`, `model._real_blocks`),
+boundary rows included. The buffer's top block row is the pending row, the
+Schur complement left by the rows eliminated so far, on block columns k,
+k+1, k+2; the next row is drawn or copied into its bottom block row. Per
+row, ``getrf`` factors the 2ell-by-ell panel [pending diagonal block;
+incoming C], ``laswp`` applies the row swaps to the 2ell-by-2ell trailing
+block, one right-side unit-lower ``trsm`` forms X = L21 L11^{-1}, and one
+``gemm`` leaves the next pending row, incoming - X . pending; a final
+``getrf`` factors the last pending diagonal block. log|det| is the sum of
+log|U_ii| over all pivots: -inf when one is below ``PIVOT_FLOOR``, and
+`SingularMatrixError` when one is NaN or infinite. No B is factored or
+inverted, so a singular B does not disturb `logdet_via_transfer`;
+`projected_growth_log` factors each B once, for the sum of log|det B_k| it
+subtracts, and raises `SingularMatrixError` at a singular one, where that
+sum is infinite.
 
 `cocycle_trace` reports the per-step growth increments, which are wedge-norm
 increments only for orthonormal frames, so it carries the frame row by row,
 solving against each B through `solve_lu` and renormalizing by the
-phase-fixed QR (`qr_thin`). The wedge space is never materialized at
+phase-fixed QR (`qr_thin`); like the block LU, it multiplies with scipy's
+``gemm`` (see `_block_lu`). The wedge space is never materialized at
 production sizes; frames carry decomposable elements exactly and wedge norms
 are Gram log-determinants.
 """
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BorderedEnsemble, LazyTridiagonal, _boundary, identity_entry_frame, identity_exit_frame
+from .model import BorderedEnsemble, _block_rows, _boundary, _real_blocks, identity_entry_frame, identity_exit_frame
 from .numerics import SizeCapError, _log_magnitude, get_lapack_funcs, pivot_log_magnitude, qr_thin, solve_lu
 
 # Rows whose pivot magnitudes are gathered before their logs are summed: at
@@ -56,38 +58,29 @@ class CocycleTrace:
     total: float
 
 
-def _real_blocks(model) -> bool:
-    """Whether every block of a plain ensemble is real."""
-    if isinstance(model, LazyTridiagonal):
-        return not model.law.is_complex
-    return not any(np.iscomplexobj(b) for b in itertools.chain(model.diag, model.upper, model.lower))
-
-
-def _block_lu(inner, z: complex, boundary=None, factor_b: bool = False) -> tuple[float, float]:
+def _block_lu(ensemble, z: complex, factor_b: bool = False) -> tuple[float, float]:
     """(log|det M|, sum of log|det B_k|) by one block LU with partial pivoting over M's block rows.
 
-    M is the plain matrix T - z of `inner`, or with `boundary`, a pair of
-    ell-by-2ell (top, bottom) rows, the bordered matrix of `to_dense`, whose
-    boundary rows are not shifted. The sum reads 0.0 unless `factor_b`; then
-    each B_k is factored, before its row is eliminated, and a singular one
-    raises `SingularMatrixError`.
+    M is `to_dense(ensemble, z)` of a plain or bordered ensemble, whose rows
+    `_block_rows` yields. The sum reads 0.0 unless `factor_b`; then the B_k of
+    each shifted row is factored, before the row is eliminated, and a
+    singular one raises `SingularMatrixError`.
     """
-    ell = inner.ell
-    real = boundary is None and complex(z).imag == 0 and _real_blocks(inner)
+    ell = getattr(ensemble, "inner", ensemble).ell
+    real = complex(z).imag == 0 and _real_blocks(ensemble)
     dtype = np.float64 if real else np.complex128
     shift = complex(z).real if real else complex(z)
     buf = np.zeros((2 * ell, 3 * ell), dtype=dtype, order="F")
     pending, incoming = buf[:ell], buf[ell:]
     panel, trailing = buf[:, :ell], buf[:, ell:]
-    # rows() writes (diag, upper, lower) = (A, B, C) on block columns (k, k+1, k-1).
+    # Each row's (diag, upper, lower) = (A, B, C) is written on block columns (k, k+1, k-1).
     row = (incoming[:, ell : 2 * ell], incoming[:, 2 * ell :], incoming[:, :ell])
     start = 2 * ell * ell + ell  # A's first diagonal entry in the flat buffer
     a_diagonal = buf.reshape(-1, order="F")[start : start + ell * (2 * ell + 1) : 2 * ell + 1]
-    getrf, laswp = get_lapack_funcs(("getrf", "laswp"), dtype=dtype)
-    # scipy's BLAS, the library of the factorizations: products through
-    # numpy's matmul would alternate between two OpenBLAS thread pools, which
-    # at the default thread count made an earlier sweep 6x slower.
-    trsm, gemm = get_lapack_funcs(("trsm", "gemm"), dtype=dtype)
+    # trsm and gemm are scipy's BLAS, the library of the factorizations: products
+    # through numpy's matmul would alternate between two OpenBLAS thread pools,
+    # which at the default thread count made an earlier sweep 6x slower.
+    getrf, laswp, trsm, gemm = get_lapack_funcs(("getrf", "laswp", "trsm", "gemm"), dtype=dtype)
     mags = np.empty((_PIVOT_CHUNK, ell))
     log_det, log_b, filled = 0.0, 0.0, 0
 
@@ -101,29 +94,21 @@ def _block_lu(inner, z: complex, boundary=None, factor_b: bool = False) -> tuple
         np.abs(lu.diagonal(), out=mags[filled])
         filled += 1
 
-    def eliminate():
+    for k, (_, inner) in enumerate(_block_rows(ensemble, out=row)):
+        if inner:
+            if factor_b:
+                lu_b, _, info = getrf(row[1])
+                log_b += pivot_log_magnitude(lu_b, info)
+            a_diagonal -= shift
+        if not k:  # M has no block column -1: its first row is already pending.
+            pending[:, : 2 * ell] = incoming[:, ell:]
+            continue
         lu, piv, info = getrf(panel, overwrite_a=True)
         record(lu, info)
         laswp(trailing, piv, overwrite_a=True)
         x = trsm(1.0, lu[:ell], lu[ell:], side=1, lower=1, diag=1)
         pending[:, : 2 * ell] = gemm(-1.0, x, pending[:, ell:], beta=1.0, c=incoming[:, ell:])
         pending[:, 2 * ell :] = 0
-
-    if boundary is not None:
-        pending[:, : 2 * ell] = boundary[0]
-    for k, _ in enumerate(inner.rows(out=row)):
-        if factor_b:
-            lu_b, _, info = getrf(row[1])
-            log_b += pivot_log_magnitude(lu_b, info)
-        a_diagonal -= shift
-        if k or boundary is not None:
-            eliminate()
-        else:  # T - z has no block column -1: its first row is already pending.
-            pending[:, : 2 * ell] = incoming[:, ell:]
-    if boundary is not None:
-        incoming[:, : 2 * ell] = boundary[1]
-        incoming[:, 2 * ell :] = 0
-        eliminate()
     lu, _, info = getrf(pending[:, :ell])
     record(lu, info)
     return log_det + _log_magnitude(mags[:filled]), log_b
@@ -136,25 +121,6 @@ def dense_transfer_matrix(diag_block, upper_block, lower_block, z: complex) -> n
     top = solve_lu(upper_block, -np.hstack([a - z * np.eye(ell), np.asarray(lower_block, dtype=np.complex128)]))
     bottom = np.hstack([np.eye(ell), np.zeros((ell, ell))])
     return np.vstack([top, bottom])
-
-
-def _bordering(model, exit_frame=None, entry_frame=None):
-    """(plain ensemble, boundary rows or None, 1/2 log det of the frames' Gram matrices).
-
-    A bordered ensemble brings its own rows and frames; a plain one is
-    bordered only when a frame is given, the other defaulting to the identity.
-    The Gram corrections come from the R diagonals of the frames' QRs.
-    """
-    if isinstance(model, BorderedEnsemble):
-        if exit_frame is not None or entry_frame is not None:
-            raise ValueError("bordered ensembles carry their own frames")
-        return model.inner, (model.top_row, model.bottom_row), sum(_boundary(model.exit_frame, model.entry_frame)[1])
-    if exit_frame is None and entry_frame is None:
-        return model, None, 0.0
-    pi = identity_exit_frame(model.ell) if exit_frame is None else exit_frame
-    xi = identity_entry_frame(model.ell) if entry_frame is None else entry_frame
-    rows, half_log_grams = _boundary(pi, xi)
-    return model, rows, sum(half_log_grams)
 
 
 def _log_r(r) -> float:
@@ -174,10 +140,11 @@ def cocycle_trace(model, z: complex, entry_frame=None) -> CocycleTrace:
     frame, r = qr_thin(identity_entry_frame(ell) if entry_frame is None else entry_frame)
     if frame.shape != (2 * ell, ell):
         raise ValueError("the entry frame must be 2ell-by-ell")
+    (gemm,) = get_lapack_funcs(("gemm",), dtype=np.complex128)
     increments = []
     for a, b, c in model.rows():
         u, v = frame[:ell], frame[ell:]
-        top = solve_lu(b, -((a - z * np.eye(ell)) @ u + c @ v))
+        top = solve_lu(b, gemm(-1.0, a - z * np.eye(ell), u, beta=-1.0, c=gemm(1.0, c, v)))
         frame, r_k = qr_thin(np.vstack([top, u]))
         increments.append(_log_r(r_k))
     return CocycleTrace(tuple(increments), _log_r(r) + float(np.sum(increments)))
@@ -191,22 +158,28 @@ def projected_growth_log(model, z: complex, exit_frame=None, entry_frame=None) -
     1/2 log det(pi pi*) for frames that are not normalized. Returns -inf when
     a pivot falls below the floor, a legitimate outcome at near-singular
     shifts; raises `SingularMatrixError` when a B_k is singular.
+
+    A plain ensemble is bordered only when a frame is given, the other
+    defaulting to the identity; a bordered ensemble brings its own frames.
     """
-    inner, boundary, half_log_grams = _bordering(model, exit_frame, entry_frame)
-    log_det, log_b = _block_lu(inner, z, boundary, factor_b=True)
-    return log_det - log_b + half_log_grams
+    if exit_frame is not None or entry_frame is not None:
+        if isinstance(model, BorderedEnsemble):
+            raise ValueError("bordered ensembles carry their own frames")
+        pi = identity_exit_frame(model.ell) if exit_frame is None else exit_frame
+        xi = identity_entry_frame(model.ell) if entry_frame is None else entry_frame
+        rows, half_log_grams = _boundary(pi, xi)
+        # Unchecked: explicit frames need not be normalized.
+        model = BorderedEnsemble(model, *rows, sum(half_log_grams), xi)
+    log_det, log_b = _block_lu(model, z, factor_b=True)
+    return log_det - log_b + getattr(model, "half_log_grams", 0.0)
 
 
 def logdet_via_transfer(model, z: complex) -> float:
-    """log|det| of the shifted matrix through the transfer recursion.
+    """log|det| of `to_dense(model, z)` for a plain (materialized or lazy) or bordered ensemble.
 
-    For a plain ensemble (materialized or lazy) this equals log|det(T - zI)|;
-    for a bordered ensemble it equals log|det| of the bordered matrix under
-    its middle-rows shift convention. Both are one block LU with partial
-    pivoting over the block rows, which never factors or inverts a B_k.
+    One block LU with partial pivoting over the block rows, which never
+    factors or inverts a B_k.
     """
-    if isinstance(model, BorderedEnsemble):
-        return _block_lu(model.inner, z, (model.top_row, model.bottom_row))[0]
     return _block_lu(model, z)[0]
 
 

@@ -6,6 +6,7 @@ from blocktri.model import (
     BlockTridiagonal,
     BorderedEnsemble,
     FrameNormalizationError,
+    LazyTridiagonal,
     PeriodicEnsemble,
     build_bordered,
     identity_entry_frame,
@@ -207,19 +208,26 @@ def test_dense_places_every_block_and_shifts_the_named_rows(kind, n, ell):
     """Slice by slice against the blocks, for a real and a complex law and real and non-real shifts.
 
     The matrix is Fortran-ordered, and its block view, which `to_dense`
-    fills, is a view of it.
+    fills, is a view of it. A plain or bordered ensemble over a
+    `LazyTridiagonal` gives the same bytes as over the materialized blocks.
     """
     for law in (AtomLaw("real-gaussian"), LAW):
         if kind == "periodic":
             ens = sample_periodic(n, ell, law, 19)
+            lazy = ens
         else:
             ens = sample_tridiagonal(n, ell, law, 19)
+            lazy = LazyTridiagonal(n, ell, law, 19)
         if kind == "bordered":
             rng = np.random.default_rng(20)
-            ens = build_bordered(ens, random_exit_frame(ell, rng), random_entry_frame(ell, rng))
+            pi, xi = random_exit_frame(ell, rng), random_entry_frame(ell, rng)
+            ens, lazy = build_bordered(ens, pi, xi), build_bordered(lazy, pi, xi)
         blocks, shifted = _expected_blocks(ens)
         for z in (0.0, 0.7, 0.5 - 0.25j):
             dense = to_dense(ens, z)
+            streamed = to_dense(lazy, z)
+            assert streamed.dtype == dense.dtype and streamed.flags.f_contiguous
+            assert np.array_equal(streamed, dense)
             assert dense.shape == (ens.size, ens.size)
             assert dense.flags.f_contiguous
             nb = ens.size // ell

@@ -12,6 +12,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blocktri import transfer
 from blocktri.entropy import ATOM_KINDS, AtomLaw, SeedScheme, fill_block, sample_atoms
 from blocktri.model import (
     BlockTridiagonal,
@@ -114,3 +115,24 @@ def test_transfer_on_real_blocks_matches_dense(kind, n, ell, seed, streamed):
     ensemble = LazyTridiagonal(n, ell, law, seed) if streamed else m
     for z in (0.0, 0.5 + 0.5j, 2.0):
         assert _rel_close(logdet_via_transfer(ensemble, z), lu_logdet(to_dense(m, z)), 1e-8)
+
+
+def test_dense_and_sweep_share_one_dtype_rule(monkeypatch):
+    """An unplaced complex block (the plain matrix's C_0) makes both the dense matrix and the sweep complex."""
+    swept = []
+
+    def recording_lookup(names, *args, **kwargs):
+        if "getrf" in names:
+            swept.append(np.dtype(kwargs["dtype"]))
+        return get_lapack_funcs(names, *args, **kwargs)
+
+    get_lapack_funcs = transfer.get_lapack_funcs
+    monkeypatch.setattr(transfer, "get_lapack_funcs", recording_lookup)
+    real = sample_tridiagonal(4, 3, AtomLaw("real-gaussian"), 9)
+    mixed = replace(real, lower=(real.lower[0] + 1j, *real.lower[1:]))
+    for m, dtype in ((real, np.float64), (mixed, np.complex128)):
+        del swept[:]
+        value = logdet_via_transfer(m, 0.5)
+        dense = to_dense(m, 0.5)
+        assert swept == [dtype] and dense.dtype == dtype
+        assert _rel_close(value, lu_logdet(dense), 1e-12)

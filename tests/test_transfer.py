@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from blocktri import transfer
+from blocktri import numerics, transfer
 from blocktri.entropy import ATOM_KINDS, AtomLaw, SeedScheme
 from blocktri.harness import ExperimentConfig, run
 from blocktri.model import (
@@ -173,6 +173,32 @@ def test_one_factorization_per_row(monkeypatch):
         del factored[:]
         assert _rel_close(logdet_via_transfer(bordered, z), lu_logdet(to_dense(bordered, z)), 1e-12)
         assert [a.shape for a in factored] == [(2 * ell, ell)] * (n + 1) + [(ell, ell)]
+
+
+def test_bordered_growth_reads_its_stored_gram_sum(monkeypatch):
+    """A bordered ensemble's `projected_growth_log` runs no frame QR: `build_bordered` stored the Gram sum.
+
+    Its value equals that of the same frames passed explicitly, which do run
+    one QR per frame.
+    """
+    qrs = []
+
+    def counting_lookup(names, *args, **kwargs):
+        qrs.extend(name for name in names if name == "geqrf")
+        return get_lapack_funcs(names, *args, **kwargs)
+
+    get_lapack_funcs = numerics.get_lapack_funcs
+    rng = np.random.default_rng(5)
+    m = sample_tridiagonal(4, 3, LAW, 10)
+    pi, xi = random_exit_frame(3, rng), random_entry_frame(3, rng)
+    bordered = build_bordered(m, pi, xi)
+    monkeypatch.setattr(numerics, "get_lapack_funcs", counting_lookup)
+    for z in (0.0, 0.5 + 0.5j):
+        value = projected_growth_log(bordered, z)
+        assert qrs == []
+        assert projected_growth_log(m, z, exit_frame=pi, entry_frame=xi) == value
+        assert len(qrs) == 2
+        del qrs[:]
 
 
 def test_logdet_scalar_case():
