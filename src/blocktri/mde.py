@@ -27,9 +27,10 @@ def _cubic_coeffs(w: complex, z: complex):
     return w, 2 * w, w + 1 - az2, 1.0
 
 
-def _defining_residual(m, w: complex, z: complex):
+def _residual(m, a, w: complex, z: complex) -> float:
+    """max |1/m + w(1 + a) - |z|^2/(1 + a)|: the bulk equation at a = m, the chain's at a = `_three_site_average(m)`."""
     az2 = abs(z) ** 2
-    return np.abs(1.0 / m + w * (1.0 + m) - az2 / (1.0 + m))
+    return float(np.max(np.abs(1.0 / m + w * (1.0 + a) - az2 / (1.0 + a))))
 
 
 def _newton_root(m: complex, w: complex, z: complex) -> complex:
@@ -62,7 +63,7 @@ def solve_mc(w: complex, z: complex) -> complex:
     for eta in np.geomspace(eta_start, w.imag, 60):
         m = _newton_root(m, complex(w.real, eta), z)
     m = _newton_root(m, w, z)
-    res = float(_defining_residual(m, w, z))
+    res = _residual(m, m, w, z)
     if m.imag <= 0 or not np.isfinite(res) or res > MC_RESIDUAL_TOL:
         raise MdeConvergenceError(f"no admissible root at w={w}, z={z} (residual {res:.3e})")
     return m
@@ -85,12 +86,6 @@ def _three_site_average(m: np.ndarray) -> np.ndarray:
     return (padded[:-2] + padded[1:-1] + padded[2:]) / 3.0
 
 
-def _chain_residual(m: np.ndarray, w: complex, z: complex) -> float:
-    avg = _three_site_average(m)
-    az2 = abs(z) ** 2
-    return float(np.max(np.abs(1.0 / m + w * (1.0 + avg) - az2 / (1.0 + avg))))
-
-
 def solve_chain(n: int, w: complex, z: complex, tol: float = 1e-10, max_iter: int = 100_000) -> MdeChain:
     """Damped fixed-point solve of the n-site chain with zero boundary.
 
@@ -109,14 +104,14 @@ def solve_chain(n: int, w: complex, z: complex, tol: float = 1e-10, max_iter: in
     az2 = abs(z) ** 2
     m = np.full(n, solve_mc(w, z), dtype=np.complex128)
     damping = 0.5
-    residual = _chain_residual(m, w, z)
+    residual = _residual(m, _three_site_average(m), w, z)
     for _ in range(max_iter):
         if residual <= tol:
             return MdeChain(n, w, z, m, residual, True)
         avg = _three_site_average(m)
         target = 1.0 / (-w * (1.0 + avg) + az2 / (1.0 + avg))
         candidate = (1.0 - damping) * m + damping * target
-        cand_residual = _chain_residual(candidate, w, z) if np.all(candidate.imag > 0) else np.inf
+        cand_residual = _residual(candidate, _three_site_average(candidate), w, z) if np.all(candidate.imag > 0) else np.inf
         if not np.isfinite(cand_residual) or cand_residual > residual:
             damping /= 2.0
             if damping < DAMPING_FLOOR:

@@ -10,7 +10,9 @@ be drawn one at a time (`sample_rows`): `LazyTridiagonal` names a plain
 ensemble without holding its blocks, and the transfer recursion over it keeps
 one row in memory at a time. `_block_rows` and `_real_blocks` are the one
 block layout and dtype rule of every realized matrix: `to_dense` places the
-rows that the transfer sweep eliminates.
+rows that the transfer sweep eliminates. `_plain` is the one rule of which
+ensembles have those rows, and `_bordered` the one constructor of a bordered
+ensemble, which `build_bordered` checks and explicit frames use unchecked.
 """
 
 from __future__ import annotations
@@ -180,13 +182,22 @@ def random_exit_frame(ell: int, rng: np.random.Generator) -> np.ndarray:
     return random_entry_frame(ell, rng).conj().T
 
 
-def _boundary(exit_frame, entry_frame) -> tuple[tuple, tuple]:
-    """((top, bottom) boundary rows, (1/2 log det(pi pi*), 1/2 log det(xi* xi))) from one phase-fixed QR per frame."""
-    pi = np.asarray(exit_frame, dtype=np.complex128)
-    xi = np.asarray(entry_frame, dtype=np.complex128)
+def _plain(ensemble) -> BlockTridiagonal | LazyTridiagonal:
+    """The plain ensemble of a plain or bordered ensemble; `TypeError` naming any other type."""
+    plain = ensemble.inner if isinstance(ensemble, BorderedEnsemble) else ensemble
+    if not isinstance(plain, (BlockTridiagonal, LazyTridiagonal)):
+        raise TypeError(f"unsupported ensemble type {type(plain).__name__}")
+    return plain
+
+
+def _boundary(pi: np.ndarray, xi: np.ndarray) -> tuple[tuple, tuple]:
+    """((top, bottom) boundary rows, (1/2 log det(pi pi*), 1/2 log det(xi* xi))) of complex frames.
+
+    With the phase-fixed QRs xi = Q R and pi* = Q' R', and its halves swapped
+    back, the top row is the adjoint of Q's last ell columns, which annihilates
+    xi, and the bottom row is R'^{-*} pi: orthonormal rows at any frame scale.
+    """
     ell = pi.shape[0]
-    if pi.shape != (ell, 2 * ell) or xi.shape != (2 * ell, ell):
-        raise ValueError("frame shapes must be (ell, 2ell) and (2ell, ell)")
     q_in, _, log_in = _phase_fixed_qr(xi, 2 * ell)
     q_out, _, log_out = _phase_fixed_qr(pi.conj().T)
     if -math.inf in (log_in, log_out):
@@ -196,29 +207,29 @@ def _boundary(exit_frame, entry_frame) -> tuple[tuple, tuple]:
     return rows, (log_out, log_in)
 
 
-def boundary_rows(exit_frame, entry_frame) -> tuple[np.ndarray, np.ndarray]:
-    """The (top, bottom) ell-by-2ell boundary rows that the exit and entry frames determine.
-
-    Both have orthonormal rows, whatever the frames' scale. Each is stored
-    with its two halves swapped; swapped back, and with the phase-fixed QRs
-    xi = Q R and pi* = Q' R', the top row is the adjoint of Q's last ell
-    columns, which annihilates xi, and the bottom row is R'^{-*} pi, which is
-    pi itself when pi has orthonormal rows.
-    """
-    return _boundary(exit_frame, entry_frame)[0]
+def _bordered(inner, exit_frame=None, entry_frame=None) -> tuple[BorderedEnsemble, tuple]:
+    """(unchecked bordered ensemble, the frames' two 1/2 log-Grams); a missing frame is the identity."""
+    if _plain(inner) is not inner:
+        raise ValueError("bordered ensembles carry their own frames")
+    ell = inner.ell
+    pi = np.asarray(identity_exit_frame(ell) if exit_frame is None else exit_frame, dtype=np.complex128)
+    xi = np.asarray(identity_entry_frame(ell) if entry_frame is None else entry_frame, dtype=np.complex128)
+    if pi.shape != (ell, 2 * ell) or xi.shape != (2 * ell, ell):
+        raise ValueError("frame shapes must be (ell, 2ell) and (2ell, ell)")
+    rows, half_log_grams = _boundary(pi, xi)
+    return BorderedEnsemble(inner, *rows, sum(half_log_grams), xi), half_log_grams
 
 
 def build_bordered(inner: BlockTridiagonal | LazyTridiagonal, exit_frame, entry_frame) -> BorderedEnsemble:
-    """Attach the boundary rows (`boundary_rows`) of exit and entry frames, each with det(F F*) = 1."""
-    pi = np.asarray(exit_frame, dtype=np.complex128)
-    xi = np.asarray(entry_frame, dtype=np.complex128)
-    rows, half_log_grams = _boundary(pi, xi)
-    if pi.shape[0] != inner.ell:
-        raise ValueError("frame shapes must be (ell, 2ell) and (2ell, ell)")
+    """Border a plain ensemble by the boundary rows (`_boundary`) of frames, each with det(F F*) = 1.
+
+    A bordered `inner` or a frame of another ell raises `ValueError`, any other ensemble `TypeError`.
+    """
+    bordered, half_log_grams = _bordered(inner, exit_frame, entry_frame)
     # det(F F*) = exp(2 log det R), checked in log space, where no scale overflows.
     if not all(math.log1p(-FRAME_DET_TOL) <= 2 * h <= math.log1p(FRAME_DET_TOL) for h in half_log_grams):
         raise FrameNormalizationError("frame Gram determinant is not 1")
-    return BorderedEnsemble(inner, *rows, sum(half_log_grams), xi)
+    return bordered
 
 
 def _real_blocks(ensemble) -> bool:
@@ -240,7 +251,7 @@ def _block_rows(ensemble, out=None):
     rows, which carry the shift and a B; a bordered ensemble adds an unshifted
     boundary row at each end. `out` is as in `sample_rows`.
     """
-    plain = ensemble.inner if isinstance(ensemble, BorderedEnsemble) else ensemble
+    plain = _plain(ensemble)
     top = bottom = ()
     if plain is not ensemble:
         l, t, b = plain.ell, ensemble.top_row, ensemble.bottom_row
@@ -262,17 +273,16 @@ def to_dense(ensemble, z: complex, max_dense: int = DEFAULT_DENSE_CAP) -> np.nda
     dense kernels can factor it in place (``overwrite_a=True``).
     """
     z = complex(z)
-    if not isinstance(ensemble, (BlockTridiagonal, LazyTridiagonal, PeriodicEnsemble, BorderedEnsemble)):
-        raise TypeError(f"unsupported ensemble type {type(ensemble).__name__}")
+    periodic = isinstance(ensemble, PeriodicEnsemble)
+    unclosed = ensemble.inner if periodic else ensemble
+    l = _plain(unclosed).ell
     if ensemble.size > max_dense:
         raise SizeCapError(f"dense size {ensemble.size} exceeds cap {max_dense}")
     real = z.imag == 0 and _real_blocks(ensemble)
-    periodic = isinstance(ensemble, PeriodicEnsemble)
-    l = getattr(ensemble, "inner", ensemble).ell
     nb = ensemble.size // l
     out = np.zeros((ensemble.size, ensemble.size), dtype=np.float64 if real else np.complex128, order="F")
     blocks = out.reshape(l, nb, l, nb, order="F")  # a view: [:, r, :, c] is block (r, c)
-    for r, (row, inner) in enumerate(_block_rows(ensemble.inner if periodic else ensemble)):
+    for r, (row, inner) in enumerate(_block_rows(unclosed)):
         for c, b in zip((r, r + 1, r - 1), row):
             if 0 <= c < nb:
                 blocks[:, r, :, c] = b
@@ -286,10 +296,7 @@ def to_dense(ensemble, z: complex, max_dense: int = DEFAULT_DENSE_CAP) -> np.nda
 
 def operator_norm_check(ensemble) -> bool:
     """Whether the unshifted operator norm stays below the deterministic block bound."""
-    inner = ensemble.inner if not isinstance(ensemble, BlockTridiagonal) else ensemble
     op = float(svd_values(to_dense(ensemble, 0.0), overwrite_a=True)[0])
-    max_a = max(float(svd_values(b)[0]) for b in inner.diag)
-    max_b = max(float(svd_values(b)[0]) for b in inner.upper)
-    max_c = max(float(svd_values(b)[0]) for b in inner.lower)
-    return op <= 2.0 + 10.0 * (max_a + max_b + max_c)
-
+    plain = _plain(ensemble.inner if isinstance(ensemble, PeriodicEnsemble) else ensemble)
+    norms = [[float(svd_values(b)[0]) for b in row] for row in plain.rows()]
+    return op <= 2.0 + 10.0 * sum(map(max, zip(*norms)))

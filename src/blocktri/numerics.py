@@ -15,7 +15,7 @@ without the per-call checks of the ``scipy.linalg`` front ends, so every dense
 factorization runs in one OpenBLAS and its thread pool. ``geev`` and
 ``gesdd`` get the optimal workspace from their ``*_lwork`` queries. One
 phase-fixed Householder QR (`_phase_fixed_qr`) serves `qr_thin` and the
-boundary frames of `model.boundary_rows`: its full Q holds a frame's
+boundary frames of `model._boundary`: its full Q holds a frame's
 orthonormal basis and orthogonal complement, and log det R is half the log
 Gram determinant.
 

@@ -72,20 +72,15 @@ def kolmogorov_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
 
 
 def radial_cdf_distance(eigenvalues) -> float:
-    """sup over r in [0, 1] of |radial CDF - r^2|."""
-    radii = np.sort(np.abs(np.asarray(eigenvalues)))
+    """sup over r in [0, 1] of |radial CDF - r^2|.
+
+    The sup is attained at a radius, on either side of its jump, or at r = 1:
+    radii clipped at 1 cover the last case.
+    """
+    radii = np.minimum(np.sort(np.abs(np.asarray(eigenvalues))), 1.0)
     n = radii.size
-    inside = radii[radii <= 1.0]
-    k = inside.size
-    best = abs(k / n - 1.0)
-    if k:
-        i = np.arange(1, k + 1)
-        best = max(
-            best,
-            float(np.max(np.abs(i / n - inside**2))),
-            float(np.max(np.abs((i - 1) / n - inside**2))),
-        )
-    return best
+    i = np.arange(1, n + 1)
+    return float(max(np.max(np.abs(i / n - radii**2)), np.max(np.abs((i - 1) / n - radii**2))))
 
 
 def esd(ensemble, cap: int = EIGVALS_CAP) -> EsdSummary:

@@ -6,7 +6,8 @@ by another basis of its span, F = F' R, and accumulates log|det R|, the log
 volume growth. The determinant identity holds for any such R (Molinari,
 *LAA* 2008): log|det(exit . product . entry)| + sum of log|det B_k| is
 log|det| of the matrix bordered by one boundary block row at each end
-(`model.boundary_rows`).
+(`model._bordered`, which `build_bordered` checks and explicit frames use
+unchecked). A periodic ensemble has no sweep: it raises `TypeError`.
 
 The determinant paths (`logdet_via_transfer`, `projected_growth_log`)
 therefore never form a frame: they run one block LU with partial pivoting
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BorderedEnsemble, _block_rows, _boundary, _real_blocks, identity_entry_frame, identity_exit_frame
+from .model import _block_rows, _bordered, _plain, _real_blocks, identity_entry_frame
 from .numerics import SizeCapError, _log_magnitude, get_lapack_funcs, pivot_log_magnitude, qr_thin, solve_lu
 
 # Rows whose pivot magnitudes are gathered before their logs are summed: at
@@ -66,7 +67,7 @@ def _block_lu(ensemble, z: complex, factor_b: bool = False) -> tuple[float, floa
     each shifted row is factored, before the row is eliminated, and a
     singular one raises `SingularMatrixError`.
     """
-    ell = getattr(ensemble, "inner", ensemble).ell
+    ell = _plain(ensemble).ell
     real = complex(z).imag == 0 and _real_blocks(ensemble)
     dtype = np.float64 if real else np.complex128
     shift = complex(z).real if real else complex(z)
@@ -132,17 +133,18 @@ def cocycle_trace(model, z: complex, entry_frame=None) -> CocycleTrace:
 
     `total` is the log wedge norm of the full product applied to the entry frame.
     """
-    if isinstance(model, BorderedEnsemble):
+    plain = _plain(model)
+    if plain is not model:
         if entry_frame is not None:
             raise ValueError("bordered ensembles carry their own frames")
-        model, entry_frame = model.inner, model.entry_frame
-    ell = model.ell
+        entry_frame = model.entry_frame
+    ell = plain.ell
     frame, r = qr_thin(identity_entry_frame(ell) if entry_frame is None else entry_frame)
     if frame.shape != (2 * ell, ell):
         raise ValueError("the entry frame must be 2ell-by-ell")
     (gemm,) = get_lapack_funcs(("gemm",), dtype=np.complex128)
     increments = []
-    for a, b, c in model.rows():
+    for a, b, c in plain.rows():
         u, v = frame[:ell], frame[ell:]
         top = solve_lu(b, gemm(-1.0, a - z * np.eye(ell), u, beta=-1.0, c=gemm(1.0, c, v)))
         frame, r_k = qr_thin(np.vstack([top, u]))
@@ -163,13 +165,7 @@ def projected_growth_log(model, z: complex, exit_frame=None, entry_frame=None) -
     defaulting to the identity; a bordered ensemble brings its own frames.
     """
     if exit_frame is not None or entry_frame is not None:
-        if isinstance(model, BorderedEnsemble):
-            raise ValueError("bordered ensembles carry their own frames")
-        pi = identity_exit_frame(model.ell) if exit_frame is None else exit_frame
-        xi = identity_entry_frame(model.ell) if entry_frame is None else entry_frame
-        rows, half_log_grams = _boundary(pi, xi)
-        # Unchecked: explicit frames need not be normalized.
-        model = BorderedEnsemble(model, *rows, sum(half_log_grams), xi)
+        model = _bordered(model, exit_frame, entry_frame)[0]  # unchecked: explicit frames need not be normalized
     log_det, log_b = _block_lu(model, z, factor_b=True)
     return log_det - log_b + getattr(model, "half_log_grams", 0.0)
 

@@ -158,6 +158,14 @@ def test_build_bordered_rejects_bad_frames():
         build_bordered(m, identity_exit_frame(2), np.full((4, 2), np.nan, dtype=complex))
 
 
+def test_build_bordered_refuses_ensembles_that_are_not_plain():
+    frames = identity_exit_frame(3), identity_entry_frame(3)
+    with pytest.raises(TypeError, match="PeriodicEnsemble"):
+        build_bordered(sample_periodic(4, 3, LAW, 1), *frames)
+    with pytest.raises(ValueError, match="carry their own frames"):
+        build_bordered(build_bordered(sample_tridiagonal(4, 3, LAW, 1), *frames), *frames)
+
+
 def test_operator_norm_check():
     rng = np.random.default_rng(14)
     m = sample_tridiagonal(6, 4, LAW, 15)
@@ -173,6 +181,13 @@ def test_operator_norm_check():
         m = sample_tridiagonal(8, 8, LAW, 16, trial=t)
         b = build_bordered(m, random_exit_frame(8, rng), random_entry_frame(8, rng))
         assert operator_norm_check(b)
+
+    # A lazy ensemble, plain or bordered, reads its block norms from its rows.
+    pi, xi = random_exit_frame(3, rng), random_entry_frame(3, rng)
+    for law in (LAW, AtomLaw("real-uniform")):
+        m, lazy = sample_tridiagonal(5, 3, law, 17), LazyTridiagonal(5, 3, law, 17)
+        assert operator_norm_check(lazy) == operator_norm_check(m)
+        assert operator_norm_check(build_bordered(lazy, pi, xi)) == operator_norm_check(build_bordered(m, pi, xi))
 
 
 def test_dense_size_cap():

@@ -141,6 +141,13 @@ def test_radial_cdf_distance_single_atom():
     assert radial_cdf_distance(np.array([0.5])) == pytest.approx(0.75)
 
 
+def test_radial_cdf_distance_atoms_at_zero_inside_on_and_outside_the_circle():
+    # The sup is 0.6 - 0.2^2 at the sixth radius; atoms on and outside the circle count at r = 1.
+    cloud = np.array([0, 0, 0, 0, 0.1, 0.2j, 1, -1j, 1.5, 3 - 4j])
+    assert radial_cdf_distance(cloud) == 0.5599999999999999
+    assert radial_cdf_distance(np.zeros(5)) == 1.0
+
+
 def test_esd_block_diagonal_degenerate():
     model = sample_tridiagonal(3, 2, LAW, 7)
     diag_only = BlockTridiagonal(

@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from blocktri import numerics, transfer
+from blocktri import model, numerics, transfer
 from blocktri.entropy import ATOM_KINDS, AtomLaw, SeedScheme
 from blocktri.harness import ExperimentConfig, run
 from blocktri.model import (
@@ -18,6 +18,7 @@ from blocktri.model import (
     identity_exit_frame,
     random_entry_frame,
     random_exit_frame,
+    sample_periodic,
     sample_tridiagonal,
     to_dense,
 )
@@ -441,6 +442,36 @@ def test_bordered_frames_cannot_be_overridden():
         projected_growth_log(b, 0.0, exit_frame=identity_exit_frame(2))
     with pytest.raises(ValueError):
         cocycle_trace(b, 0.0, entry_frame=identity_entry_frame(2))
+
+
+def test_sweeps_refuse_a_periodic_ensemble():
+    periodic = sample_periodic(4, 3, LAW, 1)
+    for sweep in (
+        lambda: logdet_via_transfer(periodic, 0.5),
+        lambda: projected_growth_log(periodic, 0.5),
+        lambda: projected_growth_log(periodic, 0.5, exit_frame=identity_exit_frame(3)),
+        lambda: cocycle_trace(periodic, 0.5),
+    ):
+        with pytest.raises(TypeError, match="PeriodicEnsemble"):
+            sweep()
+
+
+def test_explicit_frames_of_another_ell_raise_before_any_block_is_drawn(monkeypatch):
+    drawn = []
+
+    def counting_fill_block(*args, **kwargs):
+        drawn.append(args)
+        return fill_block(*args, **kwargs)
+
+    fill_block = model.fill_block
+    monkeypatch.setattr(model, "fill_block", counting_fill_block)
+    lazy = LazyTridiagonal(4, 3, LAW, 1)
+    for frames in ({"exit_frame": identity_exit_frame(2)}, {"exit_frame": identity_exit_frame(2), "entry_frame": identity_entry_frame(2)}):
+        with pytest.raises(ValueError, match="frame shapes"):
+            projected_growth_log(lazy, 0.5, **frames)
+        assert drawn == []
+    projected_growth_log(lazy, 0.5, exit_frame=identity_exit_frame(3))
+    assert len(drawn) == 3 * 4
 
 
 def test_frame_representative_invariance():
