@@ -12,12 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import NumericsError
+
 DAMPING_FLOOR = 2.0**-10
 MC_RESIDUAL_TOL = 1e-12
 
 
-class MdeConvergenceError(RuntimeError):
-    pass
+class MdeConvergenceError(NumericsError, RuntimeError):
+    """No admissible solution of the bulk or chain equation: a trial failure like any `NumericsError`."""
 
 
 def _cubic_coeffs(w: complex, z: complex):
@@ -63,8 +65,9 @@ def solve_mc(w: complex, z: complex) -> complex:
     for eta in np.geomspace(eta_start, w.imag, 60):
         m = _newton_root(m, complex(w.real, eta), z)
     m = _newton_root(m, w, z)
-    res = _residual(m, m, w, z)
-    if m.imag <= 0 or not np.isfinite(res) or res > MC_RESIDUAL_TOL:
+    # A root off the upper half plane gets no residual, which divides by zero at the cubic's root m = -1.
+    res = _residual(m, m, w, z) if m.imag > 0 else np.inf
+    if not np.isfinite(res) or res > MC_RESIDUAL_TOL:
         raise MdeConvergenceError(f"no admissible root at w={w}, z={z} (residual {res:.3e})")
     return m
 

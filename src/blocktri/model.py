@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import AtomLaw, SeedScheme, fill_block
-from .numerics import SingularMatrixError, SizeCapError, _phase_fixed_qr, qr_thin, svd_values
+from .numerics import RankDeficientError, SizeCapError, _phase_fixed_qr, qr_thin, svd_values
 
 DEFAULT_DENSE_CAP = 8192
 FRAME_DET_TOL = 1e-10
@@ -201,7 +201,7 @@ def _boundary(pi: np.ndarray, xi: np.ndarray) -> tuple[tuple, tuple]:
     q_in, _, log_in = _phase_fixed_qr(xi, 2 * ell)
     q_out, _, log_out = _phase_fixed_qr(pi.conj().T)
     if -math.inf in (log_in, log_out):
-        raise SingularMatrixError("boundary frame is rank deficient")
+        raise RankDeficientError("boundary frame is rank deficient")
     # Rolling a column block by ell swaps its halves.
     rows = tuple(np.roll(q, ell, axis=0).conj().T for q in (q_in[:, ell:], q_out))
     return rows, (log_out, log_in)

@@ -5,7 +5,7 @@ transfer recursion underflow double precision long before the individual
 factors do. A pivot magnitude below ``PIVOT_FLOOR`` is what "singular" means
 throughout the package, and `_log_magnitude` is the one reduction of LU pivots
 and QR diagonals to a log: -inf below the floor, `SingularMatrixError` for a
-NaN or infinite magnitude.
+NaN or infinite magnitude. Every trial failure is a `NumericsError` subclass.
 
 Real input stays real: a float64 matrix goes to the real LAPACK routines
 (``dgetrf``, ``dgeev``, ``dgesdd``, ...), anything complex to the complex ones.
@@ -88,23 +88,29 @@ def get_lapack_funcs(names, arrays=(), dtype=None) -> tuple:
 
 
 class NumericsError(Exception):
-    """Base class for kernel contract violations."""
+    """Base class of every failure a trial records: one subclass per cause."""
 
 
 class SingularMatrixError(NumericsError):
-    pass
+    """A pivot magnitude below the floor, or one that is NaN or infinite."""
 
 
-class RankDeficientError(NumericsError):
-    pass
+class RankDeficientError(SingularMatrixError):
+    """A QR diagonal magnitude below the floor: a rank-deficient matrix or boundary frame."""
 
 
 class SizeCapError(NumericsError):
-    pass
+    """An input larger than a kernel's size cap."""
 
 
-class EigenConvergenceError(NumericsError):
-    pass
+class EigenConvergenceError(NumericsError, np.linalg.LinAlgError):
+    """A non-finite entry, or ``geev`` or ``gesdd`` not converging."""
+
+
+def _check_info(info: int, routine: str) -> None:
+    """`ValueError` when a LAPACK `routine` reported an illegal argument (``info < 0``), a bug rather than a failure."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
 
 
 def _as_array(m) -> np.ndarray:
@@ -149,8 +155,7 @@ def pivot_log_magnitude(lu, info: int) -> float:
     Raises `SingularMatrixError` when a pivot magnitude is not finite or below
     the floor, and `ValueError` when ``getrf`` reported an illegal argument.
     """
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of getrf")
+    _check_info(info, "getrf")
     # info > 0 flags an exact zero pivot, which the floor also catches.
     total = _log_magnitude(np.abs(lu.diagonal()))
     if total == -math.inf:
@@ -177,8 +182,7 @@ def solve_lu(b, rhs) -> np.ndarray:
     pivot_log_magnitude(lu, info)
     (getrs,) = get_lapack_funcs(("getrs",), (lu, r))
     x, info = getrs(lu, piv, r)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of getrs")
+    _check_info(info, "getrs")
     return x
 
 
@@ -202,13 +206,11 @@ def _phase_fixed_qr(m, columns: int | None = None) -> tuple[np.ndarray, np.ndarr
     columns = k if columns is None else columns
     geqrf, gqr = get_lapack_funcs(("geqrf", "ungqr" if np.iscomplexobj(a) else "orgqr"), (a,))
     qr, tau, _, info = geqrf(a)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of geqrf")
+    _check_info(info, "geqrf")
     r = np.triu(qr[:k])
     reflectors = qr[:, :k] if columns == k else np.hstack([qr[:, :k], np.zeros((rows, columns - k), dtype=qr.dtype)])
     q, _, info = gqr(reflectors, tau, overwrite_a=True)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of orgqr/ungqr")
+    _check_info(info, "orgqr/ungqr")
     d = np.diagonal(r)
     mags = np.abs(d)
     log_det_r = _log_magnitude(mags)
@@ -237,30 +239,30 @@ def qr_thin(m) -> tuple[np.ndarray, np.ndarray]:
 _FINITE_CHUNK = 1 << 16
 
 
-def _all_finite(a: np.ndarray) -> bool:
-    """Whether every entry of a nonempty matrix is finite, checked a block of columns at a time."""
+def _check_finite(a: np.ndarray) -> None:
+    """`EigenConvergenceError` unless every entry of a nonempty matrix is finite, checked a block of columns at a time."""
     step = max(1, _FINITE_CHUNK // a.shape[0])
-    return all(np.isfinite(a[:, j : j + step]).all() for j in range(0, a.shape[1], step))
+    if not all(np.isfinite(a[:, j : j + step]).all() for j in range(0, a.shape[1], step)):
+        raise EigenConvergenceError("matrix has a non-finite entry")
 
 
 def svd_values(m, overwrite_a: bool = False) -> np.ndarray:
     """Singular values in descending order.
 
-    Raises `np.linalg.LinAlgError` for a non-finite entry or when ``gesdd``
-    fails. With `overwrite_a`, a Fortran-ordered M may be destroyed.
+    Raises `EigenConvergenceError` (a `LinAlgError`) for a non-finite entry
+    or when ``gesdd`` fails. With `overwrite_a`, a Fortran-ordered M may be destroyed.
     """
     a = _as_array(m)
     if a.ndim != 2:
         raise ValueError("expected a matrix")
     if a.size == 0:
         return np.empty(0, dtype=np.float64)
-    if not _all_finite(a):
-        raise np.linalg.LinAlgError("matrix has a non-finite entry")
+    _check_finite(a)
     gesdd, gesdd_lwork = get_lapack_funcs(("gesdd", "gesdd_lwork"), (a,))
     lwork = int(gesdd_lwork(*a.shape, compute_uv=0, full_matrices=0)[0].real)
     _, s, _, info = gesdd(a, compute_uv=0, full_matrices=0, lwork=lwork, overwrite_a=overwrite_a)
     if info != 0:
-        raise np.linalg.LinAlgError(f"gesdd did not converge (info {info})")
+        raise EigenConvergenceError(f"gesdd did not converge (info {info})")
     return s
 
 
@@ -277,8 +279,7 @@ def eigvals(m, cap: int = EIGVALS_CAP, overwrite_a: bool = False) -> np.ndarray:
         raise SizeCapError(f"matrix size {n} exceeds eigvals cap {cap}")
     if n == 0:
         return np.empty(0, dtype=np.complex128)
-    if not _all_finite(a):
-        raise EigenConvergenceError("matrix has a non-finite entry")
+    _check_finite(a)
     geev, geev_lwork = get_lapack_funcs(("geev", "geev_lwork"), (a,))
     lwork = int(geev_lwork(n, compute_vl=0, compute_vr=0)[0].real)
     # dgeev returns the real and imaginary parts apart, zgeev the eigenvalues.

@@ -30,12 +30,12 @@ subtracts, and raises `SingularMatrixError` at a singular one, where that
 sum is infinite.
 
 `cocycle_trace` reports the per-step growth increments, which are wedge-norm
-increments only for orthonormal frames, so it carries the frame row by row,
-solving against each B through `solve_lu` and renormalizing by the
-phase-fixed QR (`qr_thin`); like the block LU, it multiplies with scipy's
-``gemm`` (see `_block_lu`). The wedge space is never materialized at
-production sizes; frames carry decomposable elements exactly and wedge norms
-are Gram log-determinants.
+increments only for orthonormal frames, so it carries the bordered entry
+frame row by row, solving against each B through `solve_lu` and
+renormalizing by the phase-fixed QR (`qr_thin`); like the block LU, it
+multiplies with scipy's ``gemm`` (see `_block_lu`). The wedge space is never
+materialized at production sizes; frames carry decomposable elements exactly
+and wedge norms are Gram log-determinants.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _block_rows, _bordered, _plain, _real_blocks, identity_entry_frame
-from .numerics import SizeCapError, _log_magnitude, get_lapack_funcs, pivot_log_magnitude, qr_thin, solve_lu
+from .model import _block_rows, _bordered, _plain, _real_blocks
+from .numerics import SizeCapError, _check_info, _log_magnitude, get_lapack_funcs, pivot_log_magnitude, qr_thin, solve_lu
 
 # Rows whose pivot magnitudes are gathered before their logs are summed: at
 # small ell the per-row reductions would cost more than the row's LU.
@@ -87,8 +87,7 @@ def _block_lu(ensemble, z: complex, factor_b: bool = False) -> tuple[float, floa
 
     def record(lu, info):
         nonlocal log_det, filled
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of getrf")
+        _check_info(info, "getrf")
         if filled == _PIVOT_CHUNK:
             log_det += _log_magnitude(mags)
             filled = 0
@@ -131,20 +130,16 @@ def _log_r(r) -> float:
 def cocycle_trace(model, z: complex, entry_frame=None) -> CocycleTrace:
     """Per-step growth increments for a normalized entry frame (a bordered ensemble's own).
 
-    `total` is the log wedge norm of the full product applied to the entry frame.
+    `total` is the log wedge norm of the full product applied to the entry frame, which
+    `model._bordered` checks, as in `projected_growth_log`, before any row is drawn.
     """
-    plain = _plain(model)
-    if plain is not model:
-        if entry_frame is not None:
-            raise ValueError("bordered ensembles carry their own frames")
-        entry_frame = model.entry_frame
-    ell = plain.ell
-    frame, r = qr_thin(identity_entry_frame(ell) if entry_frame is None else entry_frame)
-    if frame.shape != (2 * ell, ell):
-        raise ValueError("the entry frame must be 2ell-by-ell")
+    if entry_frame is not None or _plain(model) is model:
+        model = _bordered(model, entry_frame=entry_frame)[0]
+    ell = model.inner.ell
+    frame, r = qr_thin(model.entry_frame)
     (gemm,) = get_lapack_funcs(("gemm",), dtype=np.complex128)
     increments = []
-    for a, b, c in plain.rows():
+    for a, b, c in model.inner.rows():
         u, v = frame[:ell], frame[ell:]
         top = solve_lu(b, gemm(-1.0, a - z * np.eye(ell), u, beta=-1.0, c=gemm(1.0, c, v)))
         frame, r_k = qr_thin(np.vstack([top, u]))

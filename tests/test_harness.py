@@ -219,6 +219,15 @@ def test_failed_trials_are_recorded_not_fatal(tmp_path):
     assert record.aggregates["rel_error"]["count"] == 0
 
 
+def test_mde_compare_records_a_root_off_the_upper_half_plane_as_a_failed_trial(tmp_path):
+    """`solve_mc` reaches m = -1 at this xi, which passes `validate`: one failed trial, not an aborted run."""
+    record = run(ExperimentConfig("mde-compare", n=4, ell=1, xi=complex(-1.05, 1e-300)))
+    assert [t.status for t in record.trials] == ["failed"]
+    assert "no admissible root" in record.trials[0].error
+    argv = ["--experiment", "mde-compare", "--n", "4", "--ell", "1", "--xi-re", "-1.05", "--xi-im", "1e-300"]
+    assert main(argv + ["--out", str(tmp_path / "mde")]) == EXIT_PARTIAL
+
+
 def test_main_exit_codes(tmp_path, capsys):
     out = tmp_path / "res"
     code = main(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blocktri import mde
 from blocktri.entropy import AtomLaw, SeedScheme, fill_block
 from blocktri.harness import ConfigError, ExperimentConfig, run
 from blocktri.mde import (
@@ -17,6 +18,7 @@ from blocktri.model import (
     random_exit_frame,
     sample_tridiagonal,
 )
+from blocktri.numerics import NumericsError
 from blocktri.spectra import empirical_stieltjes, singular_values
 
 LAW = AtomLaw("complex-gaussian")
@@ -50,6 +52,30 @@ def test_solve_mc_residual_grid():
             m = solve_mc(1j * eta, zmod)
             assert m.imag > 0
             assert _mc_residual(m, 1j * eta, zmod) <= 1e-12
+
+
+def test_solve_mc_refuses_the_spurious_root_m_minus_one():
+    """At z = 0 the cubic is (1 + m)(w m^2 + w m + 1); from w = -1.05 + 1e-300i Newton lands on m = -1.
+
+    The residual divides by 1 + m, so it must not be computed for a root off the upper half plane.
+    """
+    with pytest.raises(MdeConvergenceError, match="no admissible root"):
+        solve_mc(complex(-1.05, 1e-300), 0)
+
+
+def test_solve_chain_stops_at_the_damping_floor():
+    with pytest.raises(MdeConvergenceError, match="damping floor reached"):
+        solve_chain(2, 5 + 0.01j, 1.0)
+
+
+def test_solve_chain_converges_after_one_damping_halving(monkeypatch):
+    """Damping 1/2 overshoots once: the solve converges with a floor of 1/4 and needs the halving to reach it."""
+    monkeypatch.setattr(mde, "DAMPING_FLOOR", 0.25)
+    chain = solve_chain(2, 4 + 0.01j, 3.0)
+    assert chain.converged and chain.residual <= 1e-10
+    monkeypatch.setattr(mde, "DAMPING_FLOOR", 0.5)
+    with pytest.raises(MdeConvergenceError, match="damping floor reached"):
+        solve_chain(2, 4 + 0.01j, 3.0)
 
 
 def test_solve_mc_schwarz_reflection():
@@ -187,3 +213,4 @@ def test_density_support_window():
 
 def test_mde_convergence_error_is_exception():
     assert issubclass(MdeConvergenceError, RuntimeError)
+    assert issubclass(MdeConvergenceError, NumericsError)

@@ -18,7 +18,7 @@ from blocktri.model import (
     sample_tridiagonal,
     to_dense,
 )
-from blocktri.numerics import SingularMatrixError, SizeCapError, svd_values
+from blocktri.numerics import RankDeficientError, SingularMatrixError, SizeCapError, svd_values
 
 LAW = AtomLaw("complex-gaussian")
 
@@ -146,8 +146,10 @@ def test_build_bordered_rejects_bad_frames():
     xi_singular = np.zeros((4, 2), dtype=complex)
     xi_singular[0, 0] = 1.0
     xi_singular[1, 1] = 0.0
-    with pytest.raises((FrameNormalizationError, SingularMatrixError)):
+    # The cause qr_thin reports, also a SingularMatrixError.
+    with pytest.raises(RankDeficientError) as raised:
         build_bordered(m, identity_exit_frame(2), xi_singular)
+    assert isinstance(raised.value, SingularMatrixError)
     # det(pi pi*) = 2 and det(xi* xi) = 1/2: their product is 1, but each frame is checked on its own.
     with pytest.raises(FrameNormalizationError):
         build_bordered(m, 2.0 ** (1 / 4) * identity_exit_frame(2), 2.0 ** (-1 / 4) * identity_entry_frame(2))

@@ -211,8 +211,9 @@ def test_nonfinite_entries_raise_typed_errors(bad, shape):
             m = np.eye(*shape, dtype=dtype) + 0.1 * rng.standard_normal(shape)
             m[row, col] = bad
             for overwrite_a in (False, True):
-                with pytest.raises(np.linalg.LinAlgError):
+                with pytest.raises(EigenConvergenceError) as raised:
                     svd_values(np.asfortranarray(m), overwrite_a=overwrite_a)
+                assert isinstance(raised.value, np.linalg.LinAlgError)
                 if shape[0] == shape[1]:
                     with pytest.raises(EigenConvergenceError):
                         eigvals(np.asfortranarray(m), overwrite_a=overwrite_a)

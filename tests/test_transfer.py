@@ -22,7 +22,7 @@ from blocktri.model import (
     sample_tridiagonal,
     to_dense,
 )
-from blocktri.numerics import SingularMatrixError, SizeCapError, eigvals, lu_logdet, qr_thin, svd_values
+from blocktri.numerics import RankDeficientError, SingularMatrixError, SizeCapError, eigvals, lu_logdet, qr_thin, svd_values
 from blocktri.transfer import (
     cocycle_trace,
     dense_transfer_matrix,
@@ -325,6 +325,30 @@ def test_nan_block_raises():
             projected_growth_log(bad, 0.5)
 
 
+@pytest.mark.parametrize("kind", ("real-gaussian", "complex-gaussian"))
+@pytest.mark.parametrize("ell", (1, 2, 3))
+def test_block_lu_across_pivot_chunk_flushes(kind, ell):
+    """n = 130 pivot rows flush the gathered magnitudes twice, at 64 and 128 (`_PIVOT_CHUNK`); block row 100 is in the second chunk."""
+    n, row = 130, 100
+    assert 2 * transfer._PIVOT_CHUNK < n
+    m = sample_tridiagonal(n, ell, AtomLaw(kind), 31)
+    lazy = LazyTridiagonal(n, ell, AtomLaw(kind), 31)
+    zero = np.zeros((ell, ell))
+    nan = m.diag[row].copy()
+    nan[0, 0] = np.nan
+    for z in (0.0, 0.5 + 0.5j, 2.0):
+        value = logdet_via_transfer(m, z)
+        assert _rel_close(value, lu_logdet(to_dense(m, z)), 1e-12)
+        assert logdet_via_transfer(lazy, z) == value
+        # Row 100 of T - z is zero: its diagonal block is z I.
+        zeroed = _with_blocks(m, row, diag=z * np.eye(ell), upper=zero, lower=zero)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert logdet_via_transfer(zeroed, z) == -np.inf
+        with pytest.raises(SingularMatrixError):
+            logdet_via_transfer(_with_blocks(m, row, diag=nan), z)
+
+
 def test_singular_b_raises_only_in_projected_growth():
     """B_2 = 0 leaves T - z regular: its log-determinant is finite, and the sum of log|det B_k| is not."""
     m = _with_blocks(sample_tridiagonal(5, 3, LAW, 23), 2, upper=np.zeros((3, 3)))
@@ -438,10 +462,21 @@ def test_shift_near_an_eigenvalue_matches_dense_lu_and_eigenvalues(kind):
 def test_bordered_frames_cannot_be_overridden():
     m = sample_tridiagonal(2, 2, LAW, 6)
     b = build_bordered(m, identity_exit_frame(2), identity_entry_frame(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="carry their own frames"):
         projected_growth_log(b, 0.0, exit_frame=identity_exit_frame(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="carry their own frames"):
         cocycle_trace(b, 0.0, entry_frame=identity_entry_frame(2))
+
+
+def test_a_rank_deficient_entry_frame_raises_rank_deficient_error_on_every_path():
+    """One cause, one type: the boundary QR of `model._bordered` reports it, as `build_bordered` does."""
+    m = sample_tridiagonal(3, 2, LAW, 6)
+    xi = np.zeros((4, 2), dtype=complex)
+    xi[0, 0] = 1.0
+    for path in (lambda: projected_growth_log(m, 0.5, entry_frame=xi), lambda: cocycle_trace(m, 0.5, entry_frame=xi)):
+        with pytest.raises(RankDeficientError) as raised:
+            path()
+        assert isinstance(raised.value, SingularMatrixError)
 
 
 def test_sweeps_refuse_a_periodic_ensemble():
@@ -470,6 +505,9 @@ def test_explicit_frames_of_another_ell_raise_before_any_block_is_drawn(monkeypa
         with pytest.raises(ValueError, match="frame shapes"):
             projected_growth_log(lazy, 0.5, **frames)
         assert drawn == []
+    with pytest.raises(ValueError, match="frame shapes"):
+        cocycle_trace(lazy, 0.5, entry_frame=identity_entry_frame(2))
+    assert drawn == []
     projected_growth_log(lazy, 0.5, exit_frame=identity_exit_frame(3))
     assert len(drawn) == 3 * 4
 
