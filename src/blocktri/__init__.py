@@ -16,7 +16,6 @@ from .model import (
     random_entry_frame,
     random_exit_frame,
     sample_periodic,
-    sample_rows,
     sample_tridiagonal,
     to_dense,
 )

@@ -76,13 +76,13 @@ class SeedScheme:
         return np.frombuffer(self._digest(trial, block, role), dtype=np.uint64)
 
     def stream(self, trial: int = 0, block: int = 0, role: str = "") -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=self.stream_key(trial, block, role)))
+        """A new generator at the start of the (trial, block, role) stream: `rekey` of a fresh Philox."""
+        return self.rekey(np.random.Generator(np.random.Philox(0)), trial, block, role)
 
     def rekey(self, stream: np.random.Generator, trial: int = 0, block: int = 0, role: str = "") -> np.random.Generator:
-        """Reset `stream`, a generator from `stream()`, to the start of the (trial, block, role) stream.
+        """Reset `stream`, a Philox generator, to the start of the (trial, block, role) stream: the one keying rule.
 
-        It then draws exactly what ``self.stream(trial, block, role)`` would,
-        without building a new generator: about 4 us against 23 us.
+        It then draws what a new ``self.stream(trial, block, role)`` draws, in about 1.7 us against 11 us.
         """
         key = struct.unpack("=QQ", self._digest(trial, block, role))
         stream.bit_generator.state = {
@@ -117,6 +117,8 @@ def sample_atoms(law: AtomLaw, stream: np.random.Generator, size, ell: int | Non
     # smoothed-rademacher
     if ell is None:
         raise ValueError("smoothed-rademacher sampling needs the block size ell")
+    if ell < 1:
+        raise ValueError("block size must be positive")
     t = float(ell) ** (-law.smoothing_exponent)
     s = np.sqrt(max(0.0, 1.0 - t * t))
     signs = 2.0 * stream.integers(0, 2, size) - 1.0

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
-import math
 import os
 import time
 from dataclasses import Field, asdict, dataclass, field, fields
@@ -30,7 +29,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .entropy import ATOM_KINDS, AtomLaw, SeedScheme, sample_atoms
+from .entropy import ATOM_KINDS, AtomLaw, SeedScheme, fill_block
 from .mde import solve_mc
 from .model import (
     DEFAULT_DENSE_CAP,
@@ -115,8 +114,7 @@ def _concentration(config: ExperimentConfig, trial: int) -> tuple:
 
 def _ginibre(config: ExperimentConfig, trial: int) -> tuple:
     rng = SeedScheme(config.master_seed).stream(trial, 0, "square-iid")
-    a = sample_atoms(config.law(), rng, (config.n, config.n), ell=config.n)
-    return (lu_logdet(a / math.sqrt(3.0 * config.n)) / config.n,)
+    return (lu_logdet(fill_block(config.n, config.law(), rng)) / config.n,)
 
 
 # name -> (record columns, kernel(config, trial) -> column values)

@@ -6,11 +6,11 @@ super-diagonal block; both participate in the boundary-framed matrix and in
 the transfer recursion, which is why they are sampled up front.
 
 Each block comes from its own (trial, row, role) stream, so the rows can also
-be drawn one at a time (`sample_rows`): `LazyTridiagonal` names a plain
-ensemble without holding its blocks, and the transfer recursion over it keeps
-one row in memory at a time. `_block_rows` and `_real_blocks` are the one
-block layout and dtype rule of every realized matrix: `to_dense` places the
-rows that the transfer sweep eliminates. `_plain` is the one rule of which
+be drawn one at a time by the one row iterator, `LazyTridiagonal.rows`:
+`sample_tridiagonal` keeps its rows, and the transfer recursion holds one at
+a time. `_block_rows` and `_realization` are the one block layout and
+dtype-and-shift rule of every realized matrix: `to_dense` places the rows
+that the transfer sweep eliminates. `_plain` is the one rule of which
 ensembles have those rows, and `_bordered` the one constructor of a bordered
 ensemble, which `build_bordered` checks and explicit frames use unchecked.
 """
@@ -72,15 +72,27 @@ class LazyTridiagonal:
     trial: int = 0
 
     def __post_init__(self):
-        self.rows()  # checks n, ell and the seed; draws nothing until iterated
+        if self.n < 1 or self.ell < 1:
+            raise ValueError("need n >= 1 and ell >= 1")
+        _as_scheme(self.master_seed).stream_key(self.trial)  # refuses a seed or a trial outside 64 bits
 
     @property
     def size(self) -> int:
         return self.n * self.ell
 
     def rows(self, out=None):
-        """Iterator over the (diag, upper, lower) blocks of rows 0, ..., n-1; `out` as in `sample_rows`."""
-        return sample_rows(self.n, self.ell, self.law, self.master_seed, self.trial, out)
+        """Iterator over the (diag, upper, lower) blocks of rows 0, ..., n-1, each drawn when its row is reached.
+
+        With `out`, a triple of ell-by-ell arrays, each row is drawn straight
+        into them (see `fill_block`), and every step yields them.
+        """
+        # One generator per iterator, rekeyed to each block's stream: the draws of
+        # a new generator per block, for a sixth of the cost. Iterators share none.
+        scheme = _as_scheme(self.master_seed)
+        stream = scheme.stream(self.trial, 0, "diag")
+        roles = tuple(zip(("diag", "upper", "lower"), (None, None, None) if out is None else out, strict=True))
+        for k in range(self.n):
+            yield tuple(fill_block(self.ell, self.law, scheme.rekey(stream, self.trial, k, role), slot) for role, slot in roles)
 
 
 @dataclass(frozen=True)
@@ -100,11 +112,15 @@ class BorderedEnsemble:
 
 @dataclass(frozen=True)
 class PeriodicEnsemble:
-    """Plain ensemble closed up by two independent corner blocks."""
+    """Plain ensemble closed up by two independent corner blocks; n >= 3, so no corner lands on another block."""
 
     inner: BlockTridiagonal
     corner_top: np.ndarray
     corner_bottom: np.ndarray
+
+    def __post_init__(self):
+        if self.inner.n < 3:
+            raise ValueError("periodic ensemble needs n >= 3 so the corners are distinct")
 
     @property
     def size(self) -> int:
@@ -122,39 +138,13 @@ def _copied_rows(rows, out):
         yield out
 
 
-def _rows(n: int, ell: int, law: AtomLaw, scheme: SeedScheme, trial: int, out):
-    # One generator per iterator, rekeyed to each block's stream: the draws of
-    # a new generator per block, for a sixth of the cost. Iterators share none.
-    stream = scheme.stream(trial, 0, "diag")
-    roles = tuple(zip(("diag", "upper", "lower"), (None, None, None) if out is None else out, strict=True))
-    for k in range(n):
-        yield tuple(fill_block(ell, law, scheme.rekey(stream, trial, k, role), slot) for role, slot in roles)
-
-
-def sample_rows(n: int, ell: int, law: AtomLaw, seed, trial: int = 0, out=None):
-    """Iterator over the (diag, upper, lower) blocks of block rows 0, ..., n-1.
-
-    Each block is drawn from its own (trial, row, role) stream when its row is
-    reached, so only the current row is held. With `out`, a triple of
-    ell-by-ell arrays, each row is drawn straight into those arrays (see
-    `fill_block`), and every step yields them.
-    """
-    if n < 1 or ell < 1:
-        raise ValueError("need n >= 1 and ell >= 1")
-    scheme = _as_scheme(seed)
-    scheme.stream_key(trial)  # refuses a trial outside 64 bits before any row is drawn
-    return _rows(n, ell, law, scheme, trial, out)
-
-
 def sample_tridiagonal(n: int, ell: int, law: AtomLaw, seed, trial: int = 0) -> BlockTridiagonal:
-    """Sample all 3n blocks through disjoint (trial, block, role) streams."""
-    diag, upper, lower = zip(*sample_rows(n, ell, law, seed, trial))
+    """Sample all 3n blocks through disjoint (trial, block, role) streams: the rows of `LazyTridiagonal`, kept."""
+    diag, upper, lower = zip(*LazyTridiagonal(n, ell, law, _as_scheme(seed).master_seed, trial).rows())
     return BlockTridiagonal(n, ell, diag, upper, lower)
 
 
 def sample_periodic(n: int, ell: int, law: AtomLaw, seed, trial: int = 0) -> PeriodicEnsemble:
-    if n < 3:
-        raise ValueError("periodic ensemble needs n >= 3 so the corners are distinct")
     scheme = _as_scheme(seed)
     inner = sample_tridiagonal(n, ell, law, scheme, trial)
     corner_top = fill_block(ell, law, scheme.stream(trial, 0, "corner-top"))
@@ -233,7 +223,7 @@ def build_bordered(inner: BlockTridiagonal | LazyTridiagonal, exit_frame, entry_
 
 
 def _real_blocks(ensemble) -> bool:
-    """Whether every block, placed or not, is real: then the dense matrix and the sweep are float64 at a real z."""
+    """Whether every block, placed or not, is real (read by `_realization` alone)."""
     if isinstance(ensemble, LazyTridiagonal):
         return not ensemble.law.is_complex
     if isinstance(ensemble, BlockTridiagonal):
@@ -243,13 +233,19 @@ def _real_blocks(ensemble) -> bool:
     return not any(np.iscomplexobj(b) for b in own) and _real_blocks(ensemble.inner)
 
 
+def _realization(ensemble, z: complex) -> tuple[type, complex]:
+    """(dtype, shift) of the matrix at z: float64 and z.real when z and every block are real, else complex128 and z."""
+    z = complex(z)
+    return (np.float64, z.real) if z.imag == 0 and _real_blocks(ensemble) else (np.complex128, z)
+
+
 def _block_rows(ensemble, out=None):
     """((diag, upper, lower), inner) for each block row of a plain or bordered ensemble's matrix, top to bottom.
 
     Row r's blocks sit on block columns r, r+1 and r-1; one whose column falls
     outside the matrix is not placed. `inner` marks the plain ensemble's own
     rows, which carry the shift and a B; a bordered ensemble adds an unshifted
-    boundary row at each end. `out` is as in `sample_rows`.
+    boundary row at each end. `out` is as in `LazyTridiagonal.rows`.
     """
     plain = _plain(ensemble)
     top = bottom = ()
@@ -268,26 +264,25 @@ def to_dense(ensemble, z: complex, max_dense: int = DEFAULT_DENSE_CAP) -> np.nda
 
     Plain ensembles, materialized or lazy, and periodic ones subtract z on the
     whole diagonal; the bordered ensemble subtracts z only on the middle n
-    block rows. The matrix is float64 when z and every block are real, and
-    complex128 otherwise (`_real_blocks`). It is in Fortran order, so the
-    dense kernels can factor it in place (``overwrite_a=True``).
+    block rows. Its dtype, float64 or complex128, is `_realization`'s. It is in
+    Fortran order, so the dense kernels can factor it in place
+    (``overwrite_a=True``).
     """
-    z = complex(z)
     periodic = isinstance(ensemble, PeriodicEnsemble)
     unclosed = ensemble.inner if periodic else ensemble
     l = _plain(unclosed).ell
     if ensemble.size > max_dense:
         raise SizeCapError(f"dense size {ensemble.size} exceeds cap {max_dense}")
-    real = z.imag == 0 and _real_blocks(ensemble)
+    dtype, shift = _realization(ensemble, z)
     nb = ensemble.size // l
-    out = np.zeros((ensemble.size, ensemble.size), dtype=np.float64 if real else np.complex128, order="F")
+    out = np.zeros((ensemble.size, ensemble.size), dtype=dtype, order="F")
     blocks = out.reshape(l, nb, l, nb, order="F")  # a view: [:, r, :, c] is block (r, c)
     for r, (row, inner) in enumerate(_block_rows(unclosed)):
         for c, b in zip((r, r + 1, r - 1), row):
             if 0 <= c < nb:
                 blocks[:, r, :, c] = b
         if inner:
-            blocks[:, r, :, r][np.diag_indices(l)] -= z.real if real else z
+            blocks[:, r, :, r][np.diag_indices(l)] -= shift
     if periodic:
         blocks[:, 0, :, nb - 1] = ensemble.corner_top
         blocks[:, nb - 1, :, 0] = ensemble.corner_bottom
@@ -295,8 +290,14 @@ def to_dense(ensemble, z: complex, max_dense: int = DEFAULT_DENSE_CAP) -> np.nda
 
 
 def operator_norm_check(ensemble) -> bool:
-    """Whether the unshifted operator norm stays below the deterministic block bound."""
-    op = float(svd_values(to_dense(ensemble, 0.0), overwrite_a=True)[0])
-    plain = _plain(ensemble.inner if isinstance(ensemble, PeriodicEnsemble) else ensemble)
-    norms = [[float(svd_values(b)[0]) for b in row] for row in plain.rows()]
-    return op <= 2.0 + 10.0 * sum(map(max, zip(*norms)))
+    """Whether the unshifted operator norm stays below 2 plus 10 times the deterministic block bound.
+
+    That bound sums, over the diagonal and the two cyclic off-diagonals of blocks, the largest norm
+    of a block that `to_dense` places there: boundary rows and periodic corners count.
+    """
+    dense = to_dense(ensemble, 0.0)
+    l = getattr(ensemble, "inner", ensemble).ell
+    nb = ensemble.size // l
+    blocks = dense.reshape(l, nb, l, nb, order="F")  # a view: [:, r, :, c] is block (r, c)
+    bound = sum(max(float(svd_values(blocks[:, r, :, (r + d) % nb])[0]) for r in range(nb)) for d in {0, 1 % nb, -1 % nb})
+    return float(svd_values(dense, overwrite_a=True)[0]) <= 2.0 + 10.0 * bound

@@ -12,12 +12,12 @@ unchecked). A periodic ensemble has no sweep: it raises `TypeError`.
 The determinant paths (`logdet_via_transfer`, `projected_growth_log`)
 therefore never form a frame: they run one block LU with partial pivoting
 over the block rows of that matrix (LAPACK's ``gbtrf`` taken one block row
-at a time), streamed through one 2ell-by-3ell Fortran buffer. Its rows and
-dtype are `model.to_dense`'s (`model._block_rows`, `model._real_blocks`),
-boundary rows included. The buffer's top block row is the pending row, the
-Schur complement left by the rows eliminated so far, on block columns k,
-k+1, k+2; the next row is drawn or copied into its bottom block row. Per
-row, ``getrf`` factors the 2ell-by-ell panel [pending diagonal block;
+at a time), streamed through one 2ell-by-3ell Fortran buffer. Its rows,
+dtype and shift are `model.to_dense`'s (`model._block_rows`,
+`model._realization`), boundary rows included. The buffer's top block row
+is the pending row, the Schur complement left by the rows eliminated so
+far, on block columns k, k+1, k+2; the next row is drawn or copied into its
+bottom block row. Per row, ``getrf`` factors the 2ell-by-ell panel [pending diagonal block;
 incoming C], ``laswp`` applies the row swaps to the 2ell-by-2ell trailing
 block, one right-side unit-lower ``trsm`` forms X = L21 L11^{-1}, and one
 ``gemm`` leaves the next pending row, incoming - X . pending; a final
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _block_rows, _bordered, _plain, _real_blocks
+from .model import _block_rows, _bordered, _plain, _realization
 from .numerics import SizeCapError, _check_info, _log_magnitude, get_lapack_funcs, pivot_log_magnitude, qr_thin, solve_lu
 
 # Rows whose pivot magnitudes are gathered before their logs are summed: at
@@ -68,9 +68,7 @@ def _block_lu(ensemble, z: complex, factor_b: bool = False) -> tuple[float, floa
     singular one raises `SingularMatrixError`.
     """
     ell = _plain(ensemble).ell
-    real = complex(z).imag == 0 and _real_blocks(ensemble)
-    dtype = np.float64 if real else np.complex128
-    shift = complex(z).real if real else complex(z)
+    dtype, shift = _realization(ensemble, z)
     buf = np.zeros((2 * ell, 3 * ell), dtype=dtype, order="F")
     pending, incoming = buf[:ell], buf[ell:]
     panel, trailing = buf[:, :ell], buf[:, ell:]

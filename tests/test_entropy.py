@@ -72,8 +72,14 @@ def test_smoothed_rademacher_fourth_moment():
 
 
 def test_smoothed_rademacher_needs_ell():
+    law = AtomLaw("smoothed-rademacher")
     with pytest.raises(ValueError):
-        sample_atoms(AtomLaw("smoothed-rademacher"), _stream(), ())
+        sample_atoms(law, _stream(), ())
+    # A block size below 1 is fill_block's ValueError on both samplers, not 0.0 ** -C's ZeroDivisionError.
+    for ell in (0, -1):
+        for draw in (lambda: sample_atoms(law, _stream(), 4, ell=ell), lambda: fill_block(ell, law, _stream())):
+            with pytest.raises(ValueError, match="block size must be positive"):
+                draw()
 
 
 @pytest.mark.parametrize("kind", ATOM_KINDS)

@@ -87,6 +87,12 @@ def test_periodic_differs_from_plain_in_corners_only():
 def test_periodic_needs_three_rows():
     with pytest.raises(ValueError):
         sample_periodic(2, 3, LAW, 0)
+    # Built by hand, n = 1 would put both corners on the diagonal block and
+    # n = 2 on the off-diagonal blocks; the ensemble itself refuses both.
+    corner = np.eye(3, dtype=complex)
+    for n in (1, 2):
+        with pytest.raises(ValueError):
+            PeriodicEnsemble(sample_tridiagonal(n, 3, LAW, 0), corner, corner)
 
 
 def test_build_bordered_row_unitarity_and_frames(unit_gram_frame):
@@ -190,6 +196,14 @@ def test_operator_norm_check():
         m, lazy = sample_tridiagonal(5, 3, law, 17), LazyTridiagonal(5, 3, law, 17)
         assert operator_norm_check(lazy) == operator_norm_check(m)
         assert operator_norm_check(build_bordered(lazy, pi, xi)) == operator_norm_check(build_bordered(m, pi, xi))
+
+    # The bound reads the blocks that the periodic matrix places: its corners,
+    # not the unplaced lower[0] and upper[n-1] of its inner ensemble.
+    per = sample_periodic(4, 2, AtomLaw("real-gaussian"), 1)
+    loud = PeriodicEnsemble(per.inner, 100.0 * np.eye(2), per.corner_bottom)
+    assert svd_values(to_dense(loud, 0.0))[0] >= 100.0
+    assert operator_norm_check(loud)
+    assert operator_norm_check(per)
 
 
 def test_dense_size_cap():

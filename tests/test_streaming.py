@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from blocktri.entropy import ATOM_KINDS, AtomLaw, SeedScheme, fill_block
-from blocktri.model import LazyTridiagonal, sample_periodic, sample_rows, sample_tridiagonal
+from blocktri.model import LazyTridiagonal, sample_periodic, sample_tridiagonal
 from blocktri.transfer import cocycle_trace, logdet_via_transfer, projected_growth_log
 
 SHIFTS = (0.0, 0.5 + 0.5j, 2.0)
@@ -26,17 +26,16 @@ def _role_major_blocks(n, ell, law, scheme, trial):
 @pytest.mark.parametrize("kind", ATOM_KINDS)
 @pytest.mark.parametrize("n, ell", SIZES)
 def test_sample_rows_yields_the_blocks_of_sample_tridiagonal(kind, n, ell):
+    """The one row iterator, `LazyTridiagonal.rows`, yields the blocks that `sample_tridiagonal` keeps."""
     law = AtomLaw(kind)
     m = sample_tridiagonal(n, ell, law, SeedScheme(31), trial=2)
     diag, upper, lower = _role_major_blocks(n, ell, law, SeedScheme(31), 2)
-    rows = list(sample_rows(n, ell, law, 31, trial=2))
+    rows = list(LazyTridiagonal(n, ell, law, 31, trial=2).rows())
     assert len(rows) == n
     for k, (a, b, c) in enumerate(rows):
         for got, want, ref in ((a, m.diag[k], diag[k]), (b, m.upper[k], upper[k]), (c, m.lower[k], lower[k])):
             assert got.dtype == want.dtype == ref.dtype
             assert np.array_equal(got, want) and np.array_equal(got, ref)
-    lazy_rows = list(LazyTridiagonal(n, ell, law, 31, trial=2).rows())
-    assert all(np.array_equal(x, y) for r, s in zip(rows, lazy_rows) for x, y in zip(r, s))
 
 
 @pytest.mark.parametrize("kind", ATOM_KINDS)
@@ -60,7 +59,7 @@ def test_lazy_ensemble_validates_its_coordinates():
     with pytest.raises(ValueError):
         LazyTridiagonal(2, 2, AtomLaw("real-gaussian"), master_seed=1 << 64)
     with pytest.raises(ValueError):
-        sample_rows(0, 2, AtomLaw("real-gaussian"), 0)
+        sample_tridiagonal(0, 2, AtomLaw("real-gaussian"), 0)
 
 
 def test_trials_outside_64_bits_are_refused():
@@ -73,8 +72,6 @@ def test_trials_outside_64_bits_are_refused():
             LazyTridiagonal(2, 2, law, 0, trial=bad)
         with pytest.raises(ValueError):
             sample_periodic(3, 2, law, 0, trial=bad)
-        with pytest.raises(ValueError):
-            sample_rows(2, 2, law, 0, trial=bad)
     top = 2**64 - 1
     m = sample_tridiagonal(2, 2, law, 0, trial=top)
     assert all(np.array_equal(x, y) for r, s in zip(m.rows(), LazyTridiagonal(2, 2, law, 0, trial=top).rows()) for x, y in zip(r, s))
@@ -85,8 +82,8 @@ def test_trials_outside_64_bits_are_refused():
 def test_interleaved_row_iterators_draw_as_if_alone(kind):
     """Each row iterator owns its generator: stepping two of them in turn changes neither."""
     law = AtomLaw(kind)
-    alone = [list(sample_rows(4, 3, law, 35, trial=t)) for t in (0, 1)]
-    first, second = sample_rows(4, 3, law, 35, trial=0), sample_rows(4, 3, law, 35, trial=1)
+    alone = [list(LazyTridiagonal(4, 3, law, 35, trial=t).rows()) for t in (0, 1)]
+    first, second = (LazyTridiagonal(4, 3, law, 35, trial=t).rows() for t in (0, 1))
     for k, (r, s) in enumerate(zip(first, second)):
         assert all(np.array_equal(x, y) for x, y in zip(r, alone[0][k]))
         assert all(np.array_equal(x, y) for x, y in zip(s, alone[1][k]))
