@@ -8,6 +8,7 @@ the (trial, block, role) coordinates of the draw.
 from __future__ import annotations
 
 import hashlib
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -54,18 +55,18 @@ class SeedScheme:
 
     Distinct (trial, block, role) tuples hash to distinct Philox keys, so the
     streams are statistically independent and reproducible under any
-    execution order. `trial` and `block` are unsigned 64-bit integers; any
-    other value raises `ValueError` instead of aliasing one inside the range.
+    execution order. The master seed, `trial` and `block` are unsigned 64-bit integers: a float raises
+    `TypeError` instead of being truncated, an integer outside the range `ValueError` instead of aliasing.
     """
 
     master_seed: int
 
     def __post_init__(self):
-        if not (0 <= self.master_seed < (1 << 64)):
+        if not (0 <= operator.index(self.master_seed) <= _U64):
             raise ValueError("master seed must be an unsigned 64-bit integer")
 
     def _digest(self, trial: int, block: int, role: str) -> bytes:
-        if not (0 <= trial <= _U64 and 0 <= block <= _U64):
+        if not (0 <= operator.index(trial) <= _U64 and 0 <= operator.index(block) <= _U64):
             raise ValueError("trial and block must be unsigned 64-bit integers")
         h = hashlib.blake2b(digest_size=16)
         h.update(struct.pack("<QQQ", self.master_seed, trial, block))

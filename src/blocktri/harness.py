@@ -155,25 +155,22 @@ class ExperimentConfig:
         return AtomLaw(self.law_kind, self.smoothing_exponent)
 
     def validate(self) -> None:
+        """Parse every value in place as a file or flag would be (``z=0.5`` becomes ``0.5+0j``), then check the ranges."""
+        for key in KEYS:
+            key.set(self, key.get(self))
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        for name, value in vars(self).items():
-            if isinstance(value, (float, complex)) and not np.isfinite(value):
-                raise ConfigError(f"{name} must be finite")
-        if self.n < 1 or self.ell < 1:
-            raise ConfigError("dimensions must be positive")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.max_dense < 1:
             raise ConfigError("max_dense must be >= 1")
         try:
-            self.law()
-            SeedScheme(self.master_seed)
+            _lazy(self, self.trials - 1)  # the kernels' own ensemble checks n, ell, the law, the seed and the last trial
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.threshold is not None and self.threshold < 0:
             raise ConfigError("threshold must be nonnegative")
-        if self.experiment == "mde-compare" and complex(self.xi).imag <= 0:
+        if self.experiment == "mde-compare" and self.xi.imag <= 0:
             raise ConfigError("xi must lie in the upper half plane")
         if self.experiment == "mde-compare" and self.n < 3:
             raise ConfigError("mde-compare needs n >= 3 for distinct periodic corners")
@@ -190,9 +187,9 @@ def _integer(raw) -> int:
 
 
 def _real(raw) -> float:
-    """float(raw), refusing a bool."""
-    if isinstance(raw, bool):
-        raise ValueError(f"{raw!r} is not a number")
+    """float(raw), refusing a bool, NaN and infinity."""
+    if isinstance(raw, bool) or not np.isfinite(float(raw)):
+        raise ValueError(f"{raw!r} is not a finite number")
     return float(raw)
 
 
@@ -212,13 +209,15 @@ class ConfigKey(NamedTuple):
 
     def get(self, config: ExperimentConfig):
         value = getattr(config, self.field.name)
-        return getattr(value, self.part) if self.part else value
+        if self.part and hasattr(value, "imag") and not isinstance(value, bool):  # a bool has parts too: it goes whole to the parser
+            return getattr(value, self.part)
+        return value
 
     def set(self, config: ExperimentConfig, raw) -> None:
         """Parse and store one value; a complex part leaves the other part as it is."""
         try:
             value = None if raw is None and self.field.default is None else _PARSERS[self.field.type](raw)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad value for {self.name}: {exc}") from None
         if self.part:
             old = complex(getattr(config, self.field.name))

@@ -58,7 +58,7 @@ def solve_mc(w: complex, z: complex) -> complex:
     """
     w = complex(w)
     z = complex(z)
-    if w.imag <= 0:
+    if not w.imag > 0:
         raise ValueError("spectral parameter must lie in the upper half plane")
     eta_start = max(8.0, 2.0 * abs(w), 2.0 * abs(z) ** 2)
     m = -1.0 / complex(w.real, eta_start)
@@ -98,11 +98,11 @@ def solve_chain(n: int, w: complex, z: complex, tol: float = 1e-10, max_iter: in
     """
     w = complex(w)
     z = complex(z)
-    if w.imag <= 0:
+    if not w.imag > 0:
         raise ValueError("spectral parameter must lie in the upper half plane")
     if n < 1:
         raise ValueError("chain needs n >= 1 sites")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     az2 = abs(z) ** 2
     m = np.full(n, solve_mc(w, z), dtype=np.complex128)

@@ -74,7 +74,7 @@ class LazyTridiagonal:
     def __post_init__(self):
         if self.n < 1 or self.ell < 1:
             raise ValueError("need n >= 1 and ell >= 1")
-        _as_scheme(self.master_seed).stream_key(self.trial)  # refuses a seed or a trial outside 64 bits
+        _as_scheme(self.master_seed).stream_key(self.trial)  # refuses a seed or a trial that is not a uint64
 
     @property
     def size(self) -> int:
@@ -128,7 +128,7 @@ class PeriodicEnsemble:
 
 
 def _as_scheme(seed) -> SeedScheme:
-    return seed if isinstance(seed, SeedScheme) else SeedScheme(int(seed))
+    return seed if isinstance(seed, SeedScheme) else SeedScheme(seed)
 
 
 def _copied_rows(rows, out):

@@ -52,16 +52,16 @@ def least_singular_value(ensemble, z: complex, max_dense: int = DEFAULT_DENSE_CA
 
 def rigidity_count(measure: EmpiricalMeasure, threshold: float) -> int:
     """Number of atoms at or below the threshold."""
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError("threshold must be nonnegative")
     return int(np.searchsorted(measure.atoms, threshold, side="right"))
 
 
 def empirical_stieltjes(measure: EmpiricalMeasure, xi: complex) -> complex:
-    """Mean of (atom - xi)^{-1}, defined for Im xi > 0."""
+    """Mean of (atom - xi)^{-1}, defined for finite xi with Im xi > 0."""
     xi = complex(xi)
-    if xi.imag <= 0:
-        raise ValueError("spectral parameter must lie in the upper half plane")
+    if not (xi.imag > 0 and np.isfinite(xi)):
+        raise ValueError("spectral parameter must be finite and lie in the upper half plane")
     return complex(np.mean(1.0 / (measure.atoms - xi)))
 
 

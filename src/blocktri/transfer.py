@@ -74,8 +74,7 @@ def _block_lu(ensemble, z: complex, factor_b: bool = False) -> tuple[float, floa
     panel, trailing = buf[:, :ell], buf[:, ell:]
     # Each row's (diag, upper, lower) = (A, B, C) is written on block columns (k, k+1, k-1).
     row = (incoming[:, ell : 2 * ell], incoming[:, 2 * ell :], incoming[:, :ell])
-    start = 2 * ell * ell + ell  # A's first diagonal entry in the flat buffer
-    a_diagonal = buf.reshape(-1, order="F")[start : start + ell * (2 * ell + 1) : 2 * ell + 1]
+    a_diagonal = np.einsum("ii->i", row[0])  # a writable view of the incoming A's diagonal
     # trsm and gemm are scipy's BLAS, the library of the factorizations: products
     # through numpy's matmul would alternate between two OpenBLAS thread pools,
     # which at the default thread count made an earlier sweep 6x slower.

@@ -113,6 +113,9 @@ def test_seed_scheme_range_check():
     for bad in (2**64, -1):  # a negative seed would alias 2**64 + seed
         with pytest.raises(ValueError):
             SeedScheme(bad)
+    for fraction in (1.5, 1.0):  # refused before struct.pack sees a float, integral or not
+        with pytest.raises(TypeError):
+            SeedScheme(fraction)
 
 
 def test_stream_coordinates_outside_64_bits_are_refused():
@@ -123,6 +126,9 @@ def test_stream_coordinates_outside_64_bits_are_refused():
             scheme.stream_key(trial=bad)
         with pytest.raises(ValueError):
             scheme.stream_key(block=bad)
+    for coordinates in ({"trial": 1.5}, {"block": 1.5}):  # struct.pack would see the float
+        with pytest.raises(TypeError):
+            scheme.stream(**coordinates)
     assert not np.array_equal(scheme.stream_key(trial=2**64 - 1), scheme.stream_key(block=2**64 - 1))
 
 

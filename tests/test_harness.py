@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -197,10 +198,23 @@ def test_config_validation_errors():
         {"experiment": "logdet-identity", "z": complex(0.5, float("nan"))},
         {"experiment": "mde-compare", "n": 3, "xi": complex(float("nan"), 1.0)},
         {"experiment": "esd", "max_dense": 0},
+        # built in code, these used to run some or all of their trials
+        {"experiment": "ginibre", "master_seed": 1.5},
+        {"experiment": "ginibre", "master_seed": True},
+        {"experiment": "esd", "n": 2.5},
+        {"experiment": "esd", "n": True},
+        {"experiment": "esd", "trials": 2.5},
+        {"experiment": "esd", "max_dense": 100.5},
+        {"experiment": "rigidity", "threshold": 10**400},
+        {"experiment": "esd", "n": 0},
+        {"experiment": "esd", "ell": 0},
+        {"experiment": "mde-compare", "n": 3, "xi": 2 - 1j},
     ],
 )
-def test_bad_values_are_config_errors_before_any_trial(tmp_path, bad):
+def test_bad_values_are_config_errors_before_any_trial(tmp_path, monkeypatch, bad):
     cfg = ExperimentConfig(**{"n": 3, "ell": 2, **bad})
+    columns, _ = EXPERIMENTS[cfg.experiment]
+    monkeypatch.setitem(EXPERIMENTS, cfg.experiment, (columns, lambda config, trial: pytest.fail("a kernel ran")))
     with pytest.raises(ConfigError):
         run(cfg)
     # every key of the file, the bad one as NaN, Infinity or an out-of-range number
@@ -344,6 +358,35 @@ def test_config_round_trips_through_echo_and_flags(tmp_path):
     ]  # fmt: skip
     assert main(flags) == EXIT_OK
     assert json.loads((tmp_path / "all.json").read_text())["config"] == cfg.echo()
+
+
+def _record_text(record: dict) -> str:
+    return json.dumps({k: v for k, v in record.items() if k not in ("wall_time_s", "environment")}, sort_keys=True)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_config_in_code_file_and_flags_give_one_record(tmp_path, experiment):
+    """`run` parses a config built in code as a file or flags are parsed: a numpy n is an int, z=0.5 is 0.5+0j."""
+    cfg = ExperimentConfig(
+        experiment, n=np.int64(4), ell=3, z=0.5, law_kind="real-gaussian", trials=2, master_seed=5, xi=1.5 + 0.5j, threshold=0.3
+    )
+    values = cfg.echo()
+    (tmp_path / "cfg.json").write_text(json.dumps(values, default=int))
+    flags = {key.name: key.flag for key in harness.KEYS}
+    argv = [arg for name, value in values.items() for arg in (flags[name], str(value))]
+    assert main(["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "file")]) == EXIT_OK
+    assert main(argv + ["--out", str(tmp_path / "flags")]) == EXIT_OK
+    expected = _record_text(run(cfg).to_jsonable())
+    for base in ("file", "flags"):
+        assert _record_text(json.loads((tmp_path / f"{base}.json").read_text())) == expected
+
+
+def test_readme_lists_every_cli_flag():
+    """The README's `Flags:` list is the parser's option strings, in order, so the documented CLI cannot drift."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.findall(r"`(--[a-z-]+)`", readme.split("Flags:", 1)[1].split(". ", 1)[0])
+    options = [s for action in harness._build_parser()._actions for s in action.option_strings]
+    assert listed == [s for s in options if s not in ("-h", "--help")]
 
 
 @pytest.mark.parametrize("flag, kept, set_key", [("--z-im", "z_re", "z_im"), ("--xi-im", "xi_re", "xi_im")])

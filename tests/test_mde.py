@@ -102,8 +102,9 @@ def test_solve_mc_asymptote():
 
 
 def test_solve_mc_rejects_lower_half_plane():
-    with pytest.raises(ValueError):
-        solve_mc(1.0 - 0.1j, 0.0)
+    for w in (1.0 - 0.1j, complex(1.0, float("nan"))):  # NaN used to surface as "no admissible root"
+        with pytest.raises(ValueError, match="upper half plane"):
+            solve_mc(w, 0.0)
 
 
 def test_solve_chain_single_site_quadratic_oracle():
@@ -140,8 +141,11 @@ def test_solve_chain_bulk_consistency_improves_with_n():
 def test_solve_chain_validates_input():
     with pytest.raises(ValueError):
         solve_chain(4, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        solve_chain(4, 1j, 0.0, tol=0.0)
+    with pytest.raises(ValueError, match="upper half plane"):
+        solve_chain(4, complex(0.0, float("nan")), 0.0)
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="tolerance"):
+            solve_chain(4, 1j, 0.0, tol=tol)
     with pytest.raises(ValueError, match="n >= 1"):
         solve_chain(0, 0.1j, 0.5)
 

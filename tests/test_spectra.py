@@ -77,8 +77,9 @@ def test_rigidity_count():
         assert cnt == brute
         assert cnt >= prev
         prev = cnt
-    with pytest.raises(ValueError):
-        rigidity_count(measure, -0.1)
+    for bad in (-0.1, float("nan")):  # NaN used to count every atom
+        with pytest.raises(ValueError):
+            rigidity_count(measure, bad)
 
 
 def test_empirical_stieltjes_point_masses():
@@ -86,8 +87,9 @@ def test_empirical_stieltjes_point_masses():
     assert empirical_stieltjes(delta0, 1j) == pytest.approx(1j)
     delta1 = _measure([1.0])
     assert empirical_stieltjes(delta1, 1.0 + 1.0j) == pytest.approx(1j)
-    with pytest.raises(ValueError):
-        empirical_stieltjes(delta0, 1.0 - 0.5j)
+    for bad in (1.0 - 0.5j, complex(1.0, float("nan")), complex(float("nan"), 1.0)):  # NaN used to return nan+nanj
+        with pytest.raises(ValueError):
+            empirical_stieltjes(delta0, bad)
 
 
 def test_stieltjes_herglotz_and_tail():

@@ -60,6 +60,13 @@ def test_lazy_ensemble_validates_its_coordinates():
         LazyTridiagonal(2, 2, AtomLaw("real-gaussian"), master_seed=1 << 64)
     with pytest.raises(ValueError):
         sample_tridiagonal(0, 2, AtomLaw("real-gaussian"), 0)
+    # a fractional seed used to draw the blocks of its integer part, a fractional trial to fail in struct.pack
+    with pytest.raises(TypeError):
+        sample_tridiagonal(3, 2, AtomLaw("real-gaussian"), 1.5)
+    with pytest.raises(TypeError):
+        LazyTridiagonal(3, 2, AtomLaw("real-gaussian"), 1.9).rows()
+    with pytest.raises(TypeError):
+        LazyTridiagonal(3, 2, AtomLaw("real-gaussian"), 1, trial=0.5)
 
 
 def test_trials_outside_64_bits_are_refused():
