@@ -6,7 +6,6 @@ from .entropy import ATOM_KINDS, AtomLaw, SeedScheme, fill_block, sample_atoms
 from .model import (
     BlockTridiagonal,
     BorderedEnsemble,
-    FrameNormalizationError,
     LazyTridiagonal,
     PeriodicEnsemble,
     build_bordered,

@@ -41,7 +41,7 @@ from .model import (
     sample_tridiagonal,
     to_dense,
 )
-from .numerics import EIGVALS_CAP, NumericsError, lu_logdet
+from .numerics import NumericsError, lu_logdet
 from .spectra import (
     empirical_stieltjes,
     esd,
@@ -84,7 +84,7 @@ def _logdet_limit(config: ExperimentConfig, trial: int) -> tuple:
 
 
 def _esd(config: ExperimentConfig, trial: int) -> tuple:
-    summary = esd(_lazy(config, trial), cap=min(config.max_dense, EIGVALS_CAP))
+    summary = esd(_lazy(config, trial), config.max_dense)
     return summary.fraction_in_unit_disk, summary.radial_cdf_distance
 
 

@@ -35,6 +35,14 @@ def _residual(m, a, w: complex, z: complex) -> float:
     return float(np.max(np.abs(1.0 / m + w * (1.0 + a) - az2 / (1.0 + a))))
 
 
+def _parameters(w, z) -> tuple[complex, complex]:
+    """(w, z) as complex numbers; `ValueError` unless both are finite and w lies in the upper half plane."""
+    w, z = complex(w), complex(z)
+    if not (w.imag > 0 and np.isfinite(w) and np.isfinite(z)):
+        raise ValueError("w and z must be finite and w must lie in the upper half plane")
+    return w, z
+
+
 def _newton_root(m: complex, w: complex, z: complex) -> complex:
     c3, c2, c1, c0 = _cubic_coeffs(w, z)
     for _ in range(80):
@@ -56,10 +64,7 @@ def solve_mc(w: complex, z: complex) -> complex:
     imaginary part, so the admissible root is followed continuously even
     when the cubic has several roots near the spectral edge.
     """
-    w = complex(w)
-    z = complex(z)
-    if not w.imag > 0:
-        raise ValueError("spectral parameter must lie in the upper half plane")
+    w, z = _parameters(w, z)
     eta_start = max(8.0, 2.0 * abs(w), 2.0 * abs(z) ** 2)
     m = -1.0 / complex(w.real, eta_start)
     for eta in np.geomspace(eta_start, w.imag, 60):
@@ -96,10 +101,7 @@ def solve_chain(n: int, w: complex, z: complex, tol: float = 1e-10, max_iter: in
     halved whenever a step loses the positive imaginary part or increases
     the residual, and the solve aborts below the damping floor.
     """
-    w = complex(w)
-    z = complex(z)
-    if not w.imag > 0:
-        raise ValueError("spectral parameter must lie in the upper half plane")
+    w, z = _parameters(w, z)
     if n < 1:
         raise ValueError("chain needs n >= 1 sites")
     if not tol > 0:

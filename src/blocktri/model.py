@@ -11,8 +11,9 @@ be drawn one at a time by the one row iterator, `LazyTridiagonal.rows`:
 a time. `_block_rows` and `_realization` are the one block layout and
 dtype-and-shift rule of every realized matrix: `to_dense` places the rows
 that the transfer sweep eliminates. `_plain` is the one rule of which
-ensembles have those rows, and `_bordered` the one constructor of a bordered
-ensemble, which `build_bordered` checks and explicit frames use unchecked.
+ensembles have those rows, and `build_bordered` the one constructor of a
+bordered ensemble: it takes full-rank frames of any scale and stores their
+1/2 log-Gram sum, so no value depends on how a frame is normalized.
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ from .entropy import AtomLaw, SeedScheme, fill_block
 from .numerics import RankDeficientError, SizeCapError, _phase_fixed_qr, qr_thin, svd_values
 
 DEFAULT_DENSE_CAP = 8192
-FRAME_DET_TOL = 1e-10
-
-
-class FrameNormalizationError(ValueError):
-    """A boundary frame does not satisfy det(F F*) = 1 within tolerance."""
 
 
 @dataclass(frozen=True)
@@ -180,8 +176,8 @@ def _plain(ensemble) -> BlockTridiagonal | LazyTridiagonal:
     return plain
 
 
-def _boundary(pi: np.ndarray, xi: np.ndarray) -> tuple[tuple, tuple]:
-    """((top, bottom) boundary rows, (1/2 log det(pi pi*), 1/2 log det(xi* xi))) of complex frames.
+def _boundary(pi: np.ndarray, xi: np.ndarray) -> tuple[tuple, float]:
+    """((top, bottom) boundary rows, 1/2 log det(pi pi*) + 1/2 log det(xi* xi)) of complex frames.
 
     With the phase-fixed QRs xi = Q R and pi* = Q' R', and its halves swapped
     back, the top row is the adjoint of Q's last ell columns, which annihilates
@@ -194,11 +190,17 @@ def _boundary(pi: np.ndarray, xi: np.ndarray) -> tuple[tuple, tuple]:
         raise RankDeficientError("boundary frame is rank deficient")
     # Rolling a column block by ell swaps its halves.
     rows = tuple(np.roll(q, ell, axis=0).conj().T for q in (q_in[:, ell:], q_out))
-    return rows, (log_out, log_in)
+    return rows, log_out + log_in
 
 
-def _bordered(inner, exit_frame=None, entry_frame=None) -> tuple[BorderedEnsemble, tuple]:
-    """(unchecked bordered ensemble, the frames' two 1/2 log-Grams); a missing frame is the identity."""
+def build_bordered(inner: BlockTridiagonal | LazyTridiagonal, exit_frame=None, entry_frame=None) -> BorderedEnsemble:
+    """Border a plain ensemble by the boundary rows (`_boundary`) of full-rank frames of any scale.
+
+    A missing frame is the identity, and the frames' 1/2 log-Gram sum is
+    stored for `projected_growth_log`. A bordered `inner` or a frame of another
+    ell raises `ValueError`, any other ensemble `TypeError`, a rank-deficient
+    frame `RankDeficientError` and a NaN one `SingularMatrixError`.
+    """
     if _plain(inner) is not inner:
         raise ValueError("bordered ensembles carry their own frames")
     ell = inner.ell
@@ -207,19 +209,7 @@ def _bordered(inner, exit_frame=None, entry_frame=None) -> tuple[BorderedEnsembl
     if pi.shape != (ell, 2 * ell) or xi.shape != (2 * ell, ell):
         raise ValueError("frame shapes must be (ell, 2ell) and (2ell, ell)")
     rows, half_log_grams = _boundary(pi, xi)
-    return BorderedEnsemble(inner, *rows, sum(half_log_grams), xi), half_log_grams
-
-
-def build_bordered(inner: BlockTridiagonal | LazyTridiagonal, exit_frame, entry_frame) -> BorderedEnsemble:
-    """Border a plain ensemble by the boundary rows (`_boundary`) of frames, each with det(F F*) = 1.
-
-    A bordered `inner` or a frame of another ell raises `ValueError`, any other ensemble `TypeError`.
-    """
-    bordered, half_log_grams = _bordered(inner, exit_frame, entry_frame)
-    # det(F F*) = exp(2 log det R), checked in log space, where no scale overflows.
-    if not all(math.log1p(-FRAME_DET_TOL) <= 2 * h <= math.log1p(FRAME_DET_TOL) for h in half_log_grams):
-        raise FrameNormalizationError("frame Gram determinant is not 1")
-    return bordered
+    return BorderedEnsemble(inner, *rows, half_log_grams, xi)
 
 
 def _real_blocks(ensemble) -> bool:

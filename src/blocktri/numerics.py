@@ -266,8 +266,8 @@ def svd_values(m, overwrite_a: bool = False) -> np.ndarray:
     return s
 
 
-def eigvals(m, cap: int = EIGVALS_CAP, overwrite_a: bool = False) -> np.ndarray:
-    """Eigenvalue multiset of a square matrix, dense solve, size-capped.
+def eigvals(m, overwrite_a: bool = False) -> np.ndarray:
+    """Eigenvalue multiset of a square matrix, dense solve, capped at size `EIGVALS_CAP`.
 
     Always complex128, also for a real matrix whose eigenvalues are all real.
     Raises `EigenConvergenceError` for a non-finite entry or when ``geev``
@@ -275,8 +275,8 @@ def eigvals(m, cap: int = EIGVALS_CAP, overwrite_a: bool = False) -> np.ndarray:
     """
     a = _as_square(m)
     n = a.shape[0]
-    if n > cap:
-        raise SizeCapError(f"matrix size {n} exceeds eigvals cap {cap}")
+    if n > EIGVALS_CAP:
+        raise SizeCapError(f"matrix size {n} exceeds eigvals cap {EIGVALS_CAP}")
     if n == 0:
         return np.empty(0, dtype=np.complex128)
     _check_finite(a)

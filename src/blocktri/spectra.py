@@ -83,9 +83,12 @@ def radial_cdf_distance(eigenvalues) -> float:
     return float(max(np.max(np.abs(i / n - radii**2)), np.max(np.abs((i - 1) / n - radii**2))))
 
 
-def esd(ensemble, cap: int = EIGVALS_CAP) -> EsdSummary:
-    """Eigenvalues of the unshifted dense realization plus circular-law statistics."""
-    ev = eigvals(to_dense(ensemble, 0.0, max_dense=cap), cap=cap, overwrite_a=True)
+def esd(ensemble, max_dense: int = DEFAULT_DENSE_CAP) -> EsdSummary:
+    """Eigenvalues of the unshifted dense realization plus circular-law statistics.
+
+    The dense size is capped at the smaller of `max_dense` and `EIGVALS_CAP`.
+    """
+    ev = eigvals(to_dense(ensemble, 0.0, min(max_dense, EIGVALS_CAP)), overwrite_a=True)
     fraction = float(np.mean(np.abs(ev) <= 1.0))
     return EsdSummary(ev, fraction, radial_cdf_distance(ev))
 

@@ -6,8 +6,9 @@ by another basis of its span, F = F' R, and accumulates log|det R|, the log
 volume growth. The determinant identity holds for any such R (Molinari,
 *LAA* 2008): log|det(exit . product . entry)| + sum of log|det B_k| is
 log|det| of the matrix bordered by one boundary block row at each end
-(`model._bordered`, which `build_bordered` checks and explicit frames use
-unchecked). A periodic ensemble has no sweep: it raises `TypeError`.
+(`model.build_bordered`, the one way a frame pair reaches a kernel: every
+kernel here takes only an ensemble and a shift). A periodic ensemble has no
+sweep: it raises `TypeError`.
 
 The determinant paths (`logdet_via_transfer`, `projected_growth_log`)
 therefore never form a frame: they run one block LU with partial pivoting
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _block_rows, _bordered, _plain, _realization
+from .model import _block_rows, _plain, _realization, build_bordered
 from .numerics import SizeCapError, _check_info, _log_magnitude, get_lapack_funcs, pivot_log_magnitude, qr_thin, solve_lu
 
 # Rows whose pivot magnitudes are gathered before their logs are summed: at
@@ -124,14 +125,13 @@ def _log_r(r) -> float:
     return float(np.sum(np.log(np.diagonal(r).real)))
 
 
-def cocycle_trace(model, z: complex, entry_frame=None) -> CocycleTrace:
-    """Per-step growth increments for a normalized entry frame (a bordered ensemble's own).
+def cocycle_trace(model, z: complex) -> CocycleTrace:
+    """Per-step growth increments of a bordered ensemble's entry frame; a plain ensemble's is the identity.
 
-    `total` is the log wedge norm of the full product applied to the entry frame, which
-    `model._bordered` checks, as in `projected_growth_log`, before any row is drawn.
+    `total` is the log wedge norm of the full product applied to the entry frame.
     """
-    if entry_frame is not None or _plain(model) is model:
-        model = _bordered(model, entry_frame=entry_frame)[0]
+    if _plain(model) is model:
+        model = build_bordered(model)
     ell = model.inner.ell
     frame, r = qr_thin(model.entry_frame)
     (gemm,) = get_lapack_funcs(("gemm",), dtype=np.complex128)
@@ -144,20 +144,16 @@ def cocycle_trace(model, z: complex, entry_frame=None) -> CocycleTrace:
     return CocycleTrace(tuple(increments), _log_r(r) + float(np.sum(increments)))
 
 
-def projected_growth_log(model, z: complex, exit_frame=None, entry_frame=None) -> float:
-    """log|det(exit . product of transfer operators . entry)|.
+def projected_growth_log(model, z: complex) -> float:
+    """log|det(exit . product of transfer operators . entry)| for the frames of a bordered ensemble.
 
     The block LU's log|det| of the bordered matrix, minus the sum of
-    log|det B_k| (each B_k factored once), plus 1/2 log det(xi* xi) and
-    1/2 log det(pi pi*) for frames that are not normalized. Returns -inf when
+    log|det B_k| (each B_k factored once), plus the frames' 1/2 log-Gram sum
+    that `build_bordered` stored. A plain ensemble reads the product's
+    top-left ell-by-ell block, as the identity frames would. Returns -inf when
     a pivot falls below the floor, a legitimate outcome at near-singular
     shifts; raises `SingularMatrixError` when a B_k is singular.
-
-    A plain ensemble is bordered only when a frame is given, the other
-    defaulting to the identity; a bordered ensemble brings its own frames.
     """
-    if exit_frame is not None or entry_frame is not None:
-        model = _bordered(model, exit_frame, entry_frame)[0]  # unchecked: explicit frames need not be normalized
     log_det, log_b = _block_lu(model, z, factor_b=True)
     return log_det - log_b + getattr(model, "half_log_grams", 0.0)
 

@@ -92,11 +92,9 @@ def test_criterion_03_wedge_validation():
             for k in range(n):
                 product = bt.dense_transfer_matrix(model.diag[k], model.upper[k], model.lower[k], 0.5) @ product
             wedge_vec = bt.wedge_power_small(product, ell) @ bt.plucker_coordinates(xi)
-            norm_err = abs(bt.cocycle_trace(model, 0.5, entry_frame=xi).total - np.log(np.linalg.norm(wedge_vec)))
+            norm_err = abs(bt.cocycle_trace(bt.build_bordered(model, entry_frame=xi), 0.5).total - np.log(np.linalg.norm(wedge_vec)))
             pairing = abs(np.dot(bt.plucker_coordinates(pi.T), wedge_vec))
-            proj_err = abs(
-                bt.projected_growth_log(model, 0.5, exit_frame=pi, entry_frame=xi) - np.log(pairing)
-            )
+            proj_err = abs(bt.projected_growth_log(bt.build_bordered(model, pi, xi), 0.5) - np.log(pairing))
             worst = max(worst, norm_err, proj_err)
     _report(3, "wedge-space validation", worst <= 1e-8, 5.0, t.seconds, f"max abs err {worst:.2e} on 50 instances")
 
@@ -258,7 +256,10 @@ def test_criterion_10_property_suites():
         xi = bt.random_entry_frame(8, rng)
         u, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
         checks["frame-representative"] = (
-            abs(bt.projected_growth_log(model, 0.5, entry_frame=xi) - bt.projected_growth_log(model, 0.5, entry_frame=xi @ u))
+            abs(
+                bt.projected_growth_log(bt.build_bordered(model, entry_frame=xi), 0.5)
+                - bt.projected_growth_log(bt.build_bordered(model, entry_frame=xi @ u), 0.5)
+            )
             < 1e-9
         )
 

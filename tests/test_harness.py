@@ -389,6 +389,16 @@ def test_readme_lists_every_cli_flag():
     assert listed == [s for s in options if s not in ("-h", "--help")]
 
 
+def test_readme_library_sketch_runs_without_warnings(tmp_path):
+    """The README's `python` block runs as written in a fresh interpreter, with every warning an error."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (sketch,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    src = str(Path(blocktri.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", sketch], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("flag, kept, set_key", [("--z-im", "z_re", "z_im"), ("--xi-im", "xi_re", "xi_im")])
 def test_flag_overrides_only_its_own_part(tmp_path, flag, kept, set_key):
     cfg_path = tmp_path / "cfg.json"

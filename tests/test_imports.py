@@ -96,7 +96,7 @@ m = bt.sample_tridiagonal(4, 2, bt.AtomLaw("complex-gaussian"), 1)
 rng = np.random.default_rng(0)
 pi = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
 xi = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-assert np.isfinite(bt.projected_growth_log(m, 0.5, pi, xi))
+assert np.isfinite(bt.projected_growth_log(bt.build_bordered(m, pi, xi), 0.5))
 b = bt.build_bordered(m, bt.random_exit_frame(2, rng), bt.random_entry_frame(2, rng))
 assert np.isfinite(bt.logdet_via_transfer(b, 0.5))
 assert np.isfinite(bt.cocycle_trace(b, 0.5).total)

@@ -101,10 +101,19 @@ def test_solve_mc_asymptote():
     assert abs(solve_mc(w, 0.7) + 1.0 / w) < 1e-5
 
 
+# (w, z) pairs that are not finite: each used to surface as "no admissible root", a trial outcome.
+_NONFINITE = (
+    (complex(float("nan"), 1.0), 0.0),
+    (1j, float("nan")),
+    (1j, complex(0.0, float("nan"))),
+    (complex(float("inf"), 1.0), 0.0),
+)
+
+
 def test_solve_mc_rejects_lower_half_plane():
-    for w in (1.0 - 0.1j, complex(1.0, float("nan"))):  # NaN used to surface as "no admissible root"
+    for w, z in ((1.0 - 0.1j, 0.0), (complex(1.0, float("nan")), 0.0), *_NONFINITE):
         with pytest.raises(ValueError, match="upper half plane"):
-            solve_mc(w, 0.0)
+            solve_mc(w, z)
 
 
 def test_solve_chain_single_site_quadratic_oracle():
@@ -141,8 +150,9 @@ def test_solve_chain_bulk_consistency_improves_with_n():
 def test_solve_chain_validates_input():
     with pytest.raises(ValueError):
         solve_chain(4, 1.0, 0.0)
-    with pytest.raises(ValueError, match="upper half plane"):
-        solve_chain(4, complex(0.0, float("nan")), 0.0)
+    for w, z in ((complex(0.0, float("nan")), 0.0), *_NONFINITE):
+        with pytest.raises(ValueError, match="upper half plane"):
+            solve_chain(4, w, z)
     for tol in (0.0, float("nan")):
         with pytest.raises(ValueError, match="tolerance"):
             solve_chain(4, 1j, 0.0, tol=tol)

@@ -5,7 +5,6 @@ from blocktri.entropy import AtomLaw, SeedScheme
 from blocktri.model import (
     BlockTridiagonal,
     BorderedEnsemble,
-    FrameNormalizationError,
     LazyTridiagonal,
     PeriodicEnsemble,
     build_bordered,
@@ -146,9 +145,10 @@ def test_build_bordered_scalar_entry_frame():
 
 
 def test_build_bordered_rejects_bad_frames():
+    """Rank-deficient and NaN frames are refused; a frame of any scale is taken, its 1/2 log-Gram stored."""
     m = sample_tridiagonal(2, 2, LAW, 13)
-    with pytest.raises(FrameNormalizationError):
-        build_bordered(m, 2.0 * identity_exit_frame(2), identity_entry_frame(2))
+    # det(pi pi*) = 16: 1/2 log of it is log 4.
+    assert build_bordered(m, 2.0 * identity_exit_frame(2), identity_entry_frame(2)).half_log_grams == pytest.approx(np.log(4.0))
     xi_singular = np.zeros((4, 2), dtype=complex)
     xi_singular[0, 0] = 1.0
     xi_singular[1, 1] = 0.0
@@ -156,12 +156,12 @@ def test_build_bordered_rejects_bad_frames():
     with pytest.raises(RankDeficientError) as raised:
         build_bordered(m, identity_exit_frame(2), xi_singular)
     assert isinstance(raised.value, SingularMatrixError)
-    # det(pi pi*) = 2 and det(xi* xi) = 1/2: their product is 1, but each frame is checked on its own.
-    with pytest.raises(FrameNormalizationError):
-        build_bordered(m, 2.0 ** (1 / 4) * identity_exit_frame(2), 2.0 ** (-1 / 4) * identity_entry_frame(2))
-    # A Gram determinant that overflows, and a NaN frame, must not pass as det = 1.
-    with pytest.raises(FrameNormalizationError):
-        build_bordered(m, 1e200 * identity_exit_frame(2), identity_entry_frame(2))
+    # det(pi pi*) = 2 and det(xi* xi) = 1/2: the two halves cancel.
+    scaled = build_bordered(m, 2.0 ** (1 / 4) * identity_exit_frame(2), 2.0 ** (-1 / 4) * identity_entry_frame(2))
+    assert scaled.half_log_grams == pytest.approx(0.0, abs=1e-15)
+    # A Gram determinant that overflows is summed in log space; a NaN frame is refused.
+    huge = build_bordered(m, 1e200 * identity_exit_frame(2), identity_entry_frame(2))
+    assert huge.half_log_grams == pytest.approx(2 * np.log(1e200))
     with pytest.raises(SingularMatrixError):
         build_bordered(m, identity_exit_frame(2), np.full((4, 2), np.nan, dtype=complex))
 

@@ -23,6 +23,7 @@ from blocktri.model import (
     to_dense,
 )
 from blocktri.numerics import RankDeficientError, SingularMatrixError, SizeCapError, eigvals, lu_logdet, qr_thin, svd_values
+from blocktri.spectra import least_singular_value
 from blocktri.transfer import (
     cocycle_trace,
     dense_transfer_matrix,
@@ -79,7 +80,7 @@ def test_apply_transfer_matches_dense_operator():
     u, v = frame[:ell], frame[ell:]
     assert np.linalg.norm(dense[:ell] - np.linalg.solve(b, -((a - z * np.eye(ell)) @ u + c @ v))) < 1e-10
     assert np.linalg.norm(dense[ell:] - u) < 1e-14
-    trace = cocycle_trace(BlockTridiagonal(1, ell, (a,), (b,), (c,)), z, entry_frame=frame)
+    trace = cocycle_trace(build_bordered(BlockTridiagonal(1, ell, (a,), (b,), (c,)), entry_frame=frame), z)
     assert abs(trace.increments[0] - 0.5 * np.log(abs(np.linalg.det(dense.conj().T @ dense)))) < 1e-10
 
 
@@ -105,7 +106,7 @@ def test_cocycle_step_gram_oracle_and_orthonormality():
     xi = random_entry_frame(ell, rng)
     rows = [tuple(rng.standard_normal((ell, ell)) + 1j * rng.standard_normal((ell, ell)) for _ in range(3)) for _ in range(n)]
     diag, upper, lower = zip(*rows)
-    trace = cocycle_trace(BlockTridiagonal(n, ell, diag, upper, lower), z, entry_frame=xi)
+    trace = cocycle_trace(build_bordered(BlockTridiagonal(n, ell, diag, upper, lower), entry_frame=xi), z)
     assert len(trace.increments) == n
     frame = xi
     for k in range(n):
@@ -177,11 +178,7 @@ def test_one_factorization_per_row(monkeypatch):
 
 
 def test_bordered_growth_reads_its_stored_gram_sum(monkeypatch):
-    """A bordered ensemble's `projected_growth_log` runs no frame QR: `build_bordered` stored the Gram sum.
-
-    Its value equals that of the same frames passed explicitly, which do run
-    one QR per frame.
-    """
+    """A bordered ensemble's `projected_growth_log` runs no frame QR: `build_bordered` stored the Gram sum."""
     qrs = []
 
     def counting_lookup(names, *args, **kwargs):
@@ -191,15 +188,11 @@ def test_bordered_growth_reads_its_stored_gram_sum(monkeypatch):
     get_lapack_funcs = numerics.get_lapack_funcs
     rng = np.random.default_rng(5)
     m = sample_tridiagonal(4, 3, LAW, 10)
-    pi, xi = random_exit_frame(3, rng), random_entry_frame(3, rng)
-    bordered = build_bordered(m, pi, xi)
+    bordered = build_bordered(m, random_exit_frame(3, rng), random_entry_frame(3, rng))
     monkeypatch.setattr(numerics, "get_lapack_funcs", counting_lookup)
     for z in (0.0, 0.5 + 0.5j):
-        value = projected_growth_log(bordered, z)
+        projected_growth_log(bordered, z)
         assert qrs == []
-        assert projected_growth_log(m, z, exit_frame=pi, entry_frame=xi) == value
-        assert len(qrs) == 2
-        del qrs[:]
 
 
 def test_logdet_scalar_case():
@@ -402,8 +395,8 @@ def test_unnormalized_frames_shift_by_their_determinants_and_match_the_wedge_pai
     rng = np.random.default_rng(master_seed)
     pi, xi = random_exit_frame(ell, rng), random_entry_frame(ell, rng)
     c, d = (rng.standard_normal((ell, ell)) + 1j * rng.standard_normal((ell, ell)) for _ in range(2))
-    base = projected_growth_log(m, z, exit_frame=pi, entry_frame=xi)
-    scaled = projected_growth_log(m, z, exit_frame=d @ pi, entry_frame=xi @ c)
+    base = projected_growth_log(build_bordered(m, pi, xi), z)
+    scaled = projected_growth_log(build_bordered(m, d @ pi, xi @ c), z)
     shift = np.log(abs(np.linalg.det(c))) + np.log(abs(np.linalg.det(d)))
     assert _rel_close(scaled, base + shift, 1e-8)
     product = np.eye(2 * ell, dtype=complex)
@@ -411,6 +404,26 @@ def test_unnormalized_frames_shift_by_their_determinants_and_match_the_wedge_pai
         product = dense_transfer_matrix(m.diag[k], m.upper[k], m.lower[k], z) @ product
     pairing = plucker_coordinates((d @ pi).T) @ wedge_power_small(product, ell) @ plucker_coordinates(xi @ c)
     assert _rel_close(scaled, np.log(abs(pairing)), 1e-8)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@seed(2008)
+@given(
+    ell=st.integers(1, 3),
+    n=st.sampled_from((1, 2, 3, 5)),
+    master_seed=st.integers(0, 2**32 - 1),
+    z=st.one_of(st.floats(-2.0, 2.0), st.complex_numbers(max_magnitude=2.0)),
+)
+def test_bordered_matrix_does_not_depend_on_the_frame_scale(ell, n, master_seed, z):
+    """Frames d pi and xi c border by the same spans as pi and xi: the bordered log|det| and least singular value agree."""
+    m = sample_tridiagonal(n, ell, LAW, master_seed)
+    rng = np.random.default_rng(master_seed)
+    pi, xi = random_exit_frame(ell, rng), random_entry_frame(ell, rng)
+    c, d = (rng.standard_normal((ell, ell)) + 1j * rng.standard_normal((ell, ell)) for _ in range(2))
+    base, scaled = build_bordered(m, pi, xi), build_bordered(m, d @ pi, xi @ c)
+    assert _rel_close(logdet_via_transfer(scaled, z), logdet_via_transfer(base, z), 1e-12)
+    lsv = least_singular_value(base, z)
+    assert abs(least_singular_value(scaled, z) - lsv) <= 1e-12 * lsv
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -459,23 +472,13 @@ def test_shift_near_an_eigenvalue_matches_dense_lu_and_eigenvalues(kind):
             assert abs(value - np.sum(np.log(np.abs(lam - z)))) <= tol, (ell, n, delta, z)
 
 
-def test_bordered_frames_cannot_be_overridden():
-    m = sample_tridiagonal(2, 2, LAW, 6)
-    b = build_bordered(m, identity_exit_frame(2), identity_entry_frame(2))
-    with pytest.raises(ValueError, match="carry their own frames"):
-        projected_growth_log(b, 0.0, exit_frame=identity_exit_frame(2))
-    with pytest.raises(ValueError, match="carry their own frames"):
-        cocycle_trace(b, 0.0, entry_frame=identity_entry_frame(2))
-
-
 def test_a_rank_deficient_entry_frame_raises_rank_deficient_error_on_every_path():
-    """One cause, one type: the boundary QR of `model._bordered` reports it, as `build_bordered` does."""
-    m = sample_tridiagonal(3, 2, LAW, 6)
+    """One cause, one type: the boundary QR of `build_bordered` reports it, for a materialized and a lazy ensemble."""
     xi = np.zeros((4, 2), dtype=complex)
     xi[0, 0] = 1.0
-    for path in (lambda: projected_growth_log(m, 0.5, entry_frame=xi), lambda: cocycle_trace(m, 0.5, entry_frame=xi)):
+    for m in (sample_tridiagonal(3, 2, LAW, 6), LazyTridiagonal(3, 2, LAW, 6)):
         with pytest.raises(RankDeficientError) as raised:
-            path()
+            build_bordered(m, entry_frame=xi)
         assert isinstance(raised.value, SingularMatrixError)
 
 
@@ -484,7 +487,7 @@ def test_sweeps_refuse_a_periodic_ensemble():
     for sweep in (
         lambda: logdet_via_transfer(periodic, 0.5),
         lambda: projected_growth_log(periodic, 0.5),
-        lambda: projected_growth_log(periodic, 0.5, exit_frame=identity_exit_frame(3)),
+        lambda: build_bordered(periodic, identity_exit_frame(3)),
         lambda: cocycle_trace(periodic, 0.5),
     ):
         with pytest.raises(TypeError, match="PeriodicEnsemble"):
@@ -501,14 +504,11 @@ def test_explicit_frames_of_another_ell_raise_before_any_block_is_drawn(monkeypa
     fill_block = model.fill_block
     monkeypatch.setattr(model, "fill_block", counting_fill_block)
     lazy = LazyTridiagonal(4, 3, LAW, 1)
-    for frames in ({"exit_frame": identity_exit_frame(2)}, {"exit_frame": identity_exit_frame(2), "entry_frame": identity_entry_frame(2)}):
+    for frames in ({"exit_frame": identity_exit_frame(2)}, {"entry_frame": identity_entry_frame(2)}, {"exit_frame": identity_exit_frame(2), "entry_frame": identity_entry_frame(2)}):
         with pytest.raises(ValueError, match="frame shapes"):
-            projected_growth_log(lazy, 0.5, **frames)
+            build_bordered(lazy, **frames)
         assert drawn == []
-    with pytest.raises(ValueError, match="frame shapes"):
-        cocycle_trace(lazy, 0.5, entry_frame=identity_entry_frame(2))
-    assert drawn == []
-    projected_growth_log(lazy, 0.5, exit_frame=identity_exit_frame(3))
+    projected_growth_log(build_bordered(lazy, identity_exit_frame(3)), 0.5)
     assert len(drawn) == 3 * 4
 
 
@@ -517,11 +517,12 @@ def test_frame_representative_invariance():
     m = sample_tridiagonal(6, 4, LAW, 9)
     xi = random_entry_frame(4, rng)
     u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    v1 = projected_growth_log(m, 0.3, entry_frame=xi)
-    v2 = projected_growth_log(m, 0.3, entry_frame=xi @ u)
+    b1, b2 = build_bordered(m, entry_frame=xi), build_bordered(m, entry_frame=xi @ u)
+    v1 = projected_growth_log(b1, 0.3)
+    v2 = projected_growth_log(b2, 0.3)
     assert abs(v1 - v2) < 1e-9
-    w1 = cocycle_trace(m, 0.3, entry_frame=xi).total
-    w2 = cocycle_trace(m, 0.3, entry_frame=xi @ u).total
+    w1 = cocycle_trace(b1, 0.3).total
+    w2 = cocycle_trace(b2, 0.3).total
     assert abs(w1 - w2) < 1e-9
 
 
@@ -562,7 +563,7 @@ def test_frame_cocycle_matches_wedge_norm():
     for seed in range(5):
         m = sample_tridiagonal(4, ell, LAW, 300 + seed)
         xi = random_entry_frame(ell, rng)
-        total = cocycle_trace(m, 0.5, entry_frame=xi).total
+        total = cocycle_trace(build_bordered(m, entry_frame=xi), 0.5).total
         product = np.eye(2 * ell, dtype=complex)
         for k in range(m.n):
             product = dense_transfer_matrix(m.diag[k], m.upper[k], m.lower[k], 0.5) @ product
