@@ -33,7 +33,6 @@ from .numerics import (
     svd_values,
 )
 from .transfer import (
-    CocycleTrace,
     cocycle_trace,
     dense_transfer_matrix,
     logdet_via_transfer,

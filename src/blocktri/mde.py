@@ -65,7 +65,12 @@ def solve_mc(w: complex, z: complex) -> complex:
     when the cubic has several roots near the spectral edge.
     """
     w, z = _parameters(w, z)
-    eta_start = max(8.0, 2.0 * abs(w), 2.0 * abs(z) ** 2)
+    try:
+        eta_start = max(8.0, 2.0 * abs(w), 2.0 * abs(z) ** 2)
+    except OverflowError:  # float ** raises where float * returns inf
+        eta_start = np.inf
+    if eta_start == np.inf:  # geomspace would warn, and every Newton step would read inf
+        raise MdeConvergenceError(f"continuation start overflows at w={w}, z={z}")
     m = -1.0 / complex(w.real, eta_start)
     for eta in np.geomspace(eta_start, w.imag, 60):
         m = _newton_root(m, complex(w.real, eta), z)
@@ -106,8 +111,8 @@ def solve_chain(n: int, w: complex, z: complex, tol: float = 1e-10, max_iter: in
         raise ValueError("chain needs n >= 1 sites")
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    az2 = abs(z) ** 2
     m = np.full(n, solve_mc(w, z), dtype=np.complex128)
+    az2 = abs(z) ** 2
     damping = 0.5
     residual = _residual(m, _three_site_average(m), w, z)
     for _ in range(max_iter):
@@ -128,6 +133,7 @@ def solve_chain(n: int, w: complex, z: complex, tol: float = 1e-10, max_iter: in
 
 
 def chain_imag_bound(z: complex, eta: float) -> float:
-    """Uniform bound on |Im m_i| for the chain at purely imaginary w = i eta."""
-    return max(2.0 * abs(complex(z)), np.sqrt(6.0)) / np.sqrt(eta)
+    """Uniform bound on |Im m_i| for the chain at purely imaginary w = i eta; `ValueError` as `solve_chain` at that w."""
+    w, z = _parameters(complex(0.0, eta), z)
+    return max(2.0 * abs(z), np.sqrt(6.0)) / np.sqrt(w.imag)
 

@@ -13,15 +13,15 @@ from .numerics import EIGVALS_CAP, eigvals, svd_values
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Equal-weight atoms, sorted ascending."""
+    """Equal-weight atoms, sorted ascending; +inf atoms are kept, NaN ones refused."""
 
     atoms: np.ndarray
 
     @classmethod
     def from_values(cls, values) -> "EmpiricalMeasure":
         a = np.sort(np.asarray(values, dtype=np.float64).ravel())
-        if a.size == 0:
-            raise ValueError("empirical measure needs at least one atom")
+        if a.size == 0 or np.isnan(a[-1]):  # sorting puts NaN last
+            raise ValueError("empirical measure needs at least one atom, and no NaN one")
         return cls(a)
 
     @property
@@ -40,9 +40,10 @@ class EsdSummary:
 
 
 def singular_values(ensemble, z: complex, max_dense: int = DEFAULT_DENSE_CAP) -> EmpiricalMeasure:
-    """Squared singular values of the shifted dense realization."""
+    """Squared singular values of the shifted dense realization; one past the float range is +inf."""
     s = svd_values(to_dense(ensemble, z, max_dense), overwrite_a=True)
-    return EmpiricalMeasure.from_values(s**2)
+    with np.errstate(over="ignore"):
+        return EmpiricalMeasure.from_values(s**2)
 
 
 def least_singular_value(ensemble, z: complex, max_dense: int = DEFAULT_DENSE_CAP) -> float:
@@ -72,13 +73,15 @@ def kolmogorov_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
 
 
 def radial_cdf_distance(eigenvalues) -> float:
-    """sup over r in [0, 1] of |radial CDF - r^2|.
+    """sup over r in [0, 1] of |radial CDF - r^2|; no eigenvalue, or a NaN one, raises `ValueError`.
 
     The sup is attained at a radius, on either side of its jump, or at r = 1:
     radii clipped at 1 cover the last case.
     """
     radii = np.minimum(np.sort(np.abs(np.asarray(eigenvalues))), 1.0)
     n = radii.size
+    if n == 0 or np.isnan(radii[-1]):  # sorting puts NaN last
+        raise ValueError("radial CDF distance needs at least one eigenvalue, and no NaN one")
     i = np.arange(1, n + 1)
     return float(max(np.max(np.abs(i / n - radii**2)), np.max(np.abs((i - 1) / n - radii**2))))
 
@@ -103,10 +106,10 @@ def ginibre_potential(z: complex) -> float:
 
 def logint_bound_check(mu: EmpiricalMeasure, nu: EmpiricalMeasure, a: float, b: float, beta: float) -> bool:
     """Check the windowed log-moment difference against the CDF-distance bound."""
-    if not (0 < a < b):
-        raise ValueError("need 0 < a < b")
-    if beta < 1:
-        raise ValueError("need beta >= 1")
+    if not (0 < a < b < np.inf):
+        raise ValueError("need 0 < a < b < inf")
+    if not 1 <= beta < np.inf:
+        raise ValueError("need finite beta >= 1")
 
     def integral(m: EmpiricalMeasure) -> float:
         sel = m.atoms[(m.atoms >= a) & (m.atoms <= b)]

@@ -6,9 +6,9 @@ by another basis of its span, F = F' R, and accumulates log|det R|, the log
 volume growth. The determinant identity holds for any such R (Molinari,
 *LAA* 2008): log|det(exit . product . entry)| + sum of log|det B_k| is
 log|det| of the matrix bordered by one boundary block row at each end
-(`model.build_bordered`, the one way a frame pair reaches a kernel: every
-kernel here takes only an ensemble and a shift). A periodic ensemble has no
-sweep: it raises `TypeError`.
+(a `model.BorderedEnsemble`, the one way a frame pair reaches a kernel:
+every kernel here takes only an ensemble and a shift). A periodic ensemble
+has no sweep: it raises `TypeError`.
 
 The determinant paths (`logdet_via_transfer`, `projected_growth_log`)
 therefore never form a frame: they run one block LU with partial pivoting
@@ -30,34 +30,26 @@ inverted, so a singular B does not disturb `logdet_via_transfer`;
 subtracts, and raises `SingularMatrixError` at a singular one, where that
 sum is infinite.
 
-`cocycle_trace` reports the per-step growth increments, which are wedge-norm
-increments only for orthonormal frames, so it carries the bordered entry
-frame row by row, solving against each B through `solve_lu` and
-renormalizing by the phase-fixed QR (`qr_thin`); like the block LU, it
-multiplies with scipy's ``gemm`` (see `_block_lu`). The wedge space is never
-materialized at production sizes; frames carry decomposable elements exactly
-and wedge norms are Gram log-determinants.
+`cocycle_trace` is Benettin's QR method (*Meccanica* 1980): it carries the
+entry frame row by row, solving against each B through `solve_lu`,
+renormalizing by the phase-fixed QR (`qr_thin`) and keeping every log R_ii;
+like the block LU, it multiplies with scipy's ``gemm`` (see `_block_lu`).
+The wedge space is never materialized at production sizes: frames carry
+decomposable elements exactly, and log wedge norms are sums of log R_ii.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _block_rows, _plain, _realization, build_bordered
+from .model import _block_rows, _plain, _realization, identity_entry_frame
 from .numerics import SizeCapError, _check_info, _log_magnitude, get_lapack_funcs, pivot_log_magnitude, qr_thin, solve_lu
 
 # Rows whose pivot magnitudes are gathered before their logs are summed: at
 # small ell the per-row reductions would cost more than the row's LU.
 _PIVOT_CHUNK = 64
-
-
-@dataclass(frozen=True)
-class CocycleTrace:
-    increments: tuple
-    total: float
 
 
 def _block_lu(ensemble, z: complex, factor_b: bool = False) -> tuple[float, float]:
@@ -121,27 +113,26 @@ def dense_transfer_matrix(diag_block, upper_block, lower_block, z: complex) -> n
     return np.vstack([top, bottom])
 
 
-def _log_r(r) -> float:
-    return float(np.sum(np.log(np.diagonal(r).real)))
+def cocycle_trace(model, z: complex) -> np.ndarray:
+    """log R_ii of every QR of the entry frame's sweep: an (n + 1)-by-ell float64 array, one row per QR.
 
-
-def cocycle_trace(model, z: complex) -> CocycleTrace:
-    """Per-step growth increments of a bordered ensemble's entry frame; a plain ensemble's is the identity.
-
-    `total` is the log wedge norm of the full product applied to the entry frame.
+    Row 0 is the entry frame's (the identity for a plain ensemble, which is
+    not bordered), row k step k's. ``logs[1:, i].sum()`` is direction i's
+    growth, and ``logs[:, :j].sum()`` the log norm of the j-fold wedge of the
+    product applied to the entry frame's first j columns.
     """
-    if _plain(model) is model:
-        model = build_bordered(model)
-    ell = model.inner.ell
-    frame, r = qr_thin(model.entry_frame)
+    plain = _plain(model)
+    ell = plain.ell
+    frame, r = qr_thin(identity_entry_frame(ell) if plain is model else model.entry_frame)
     (gemm,) = get_lapack_funcs(("gemm",), dtype=np.complex128)
-    increments = []
-    for a, b, c in model.inner.rows():
+    logs = np.empty((plain.n + 1, ell))
+    logs[0] = np.log(np.diagonal(r).real)
+    for k, (a, b, c) in enumerate(plain.rows(), 1):
         u, v = frame[:ell], frame[ell:]
         top = solve_lu(b, gemm(-1.0, a - z * np.eye(ell), u, beta=-1.0, c=gemm(1.0, c, v)))
-        frame, r_k = qr_thin(np.vstack([top, u]))
-        increments.append(_log_r(r_k))
-    return CocycleTrace(tuple(increments), _log_r(r) + float(np.sum(increments)))
+        frame, r = qr_thin(np.vstack([top, u]))
+        logs[k] = np.log(np.diagonal(r).real)
+    return logs
 
 
 def projected_growth_log(model, z: complex) -> float:
@@ -149,7 +140,7 @@ def projected_growth_log(model, z: complex) -> float:
 
     The block LU's log|det| of the bordered matrix, minus the sum of
     log|det B_k| (each B_k factored once), plus the frames' 1/2 log-Gram sum
-    that `build_bordered` stored. A plain ensemble reads the product's
+    that the bordered ensemble stores. A plain ensemble reads the product's
     top-left ell-by-ell block, as the identity frames would. Returns -inf when
     a pivot falls below the floor, a legitimate outcome at near-singular
     shifts; raises `SingularMatrixError` when a B_k is singular.

@@ -10,5 +10,9 @@ def _unit_gram_frame(ell, rng):
 
 @pytest.fixture
 def unit_gram_frame():
-    """`_unit_gram_frame(ell, rng)`: bordering frames that `build_bordered` must normalize itself."""
+    """`_unit_gram_frame(ell, rng)`: bordering frames of unit Gram determinant whose columns are not orthonormal.
+
+    `build_bordered` takes frames of any scale, so these test that its
+    boundary rows depend only on the frames' spans, with a 1/2 log-Gram sum of 0.
+    """
     return _unit_gram_frame

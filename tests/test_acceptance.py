@@ -92,7 +92,7 @@ def test_criterion_03_wedge_validation():
             for k in range(n):
                 product = bt.dense_transfer_matrix(model.diag[k], model.upper[k], model.lower[k], 0.5) @ product
             wedge_vec = bt.wedge_power_small(product, ell) @ bt.plucker_coordinates(xi)
-            norm_err = abs(bt.cocycle_trace(bt.build_bordered(model, entry_frame=xi), 0.5).total - np.log(np.linalg.norm(wedge_vec)))
+            norm_err = abs(bt.cocycle_trace(bt.build_bordered(model, entry_frame=xi), 0.5).sum() - np.log(np.linalg.norm(wedge_vec)))
             pairing = abs(np.dot(bt.plucker_coordinates(pi.T), wedge_vec))
             proj_err = abs(bt.projected_growth_log(bt.build_bordered(model, pi, xi), 0.5) - np.log(pairing))
             worst = max(worst, norm_err, proj_err)

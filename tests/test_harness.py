@@ -242,6 +242,16 @@ def test_mde_compare_records_a_root_off_the_upper_half_plane_as_a_failed_trial(t
     assert main(argv + ["--out", str(tmp_path / "mde")]) == EXIT_PARTIAL
 
 
+def test_mde_compare_records_an_overflowing_shift_as_failed_trials(tmp_path):
+    """|z|^2 overflows at z = 1e200, which passes `validate`: every trial fails, and the run and the CLI finish."""
+    record = run(ExperimentConfig("mde-compare", n=4, ell=3, z=1e200, trials=2))
+    assert [t.status for t in record.trials] == ["failed", "failed"]
+    assert all("continuation start overflows" in t.error for t in record.trials)
+    cfg_path = tmp_path / "far.json"
+    cfg_path.write_text(json.dumps({"experiment": "mde-compare", "n": 4, "ell": 3, "z_re": 1e200, "trials": 2, "out": str(tmp_path / "far")}))
+    assert main(["--config", str(cfg_path)]) == EXIT_PARTIAL
+
+
 def test_main_exit_codes(tmp_path, capsys):
     out = tmp_path / "res"
     code = main(

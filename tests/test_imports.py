@@ -99,7 +99,8 @@ xi = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
 assert np.isfinite(bt.projected_growth_log(bt.build_bordered(m, pi, xi), 0.5))
 b = bt.build_bordered(m, bt.random_exit_frame(2, rng), bt.random_entry_frame(2, rng))
 assert np.isfinite(bt.logdet_via_transfer(b, 0.5))
-assert np.isfinite(bt.cocycle_trace(b, 0.5).total)
+assert np.isfinite(bt.cocycle_trace(b, 0.5)).all()
+assert np.isfinite(bt.cocycle_trace(m, 0.5)).all()
 assert bt.least_singular_value(b, 0.5) > 0
 """
 

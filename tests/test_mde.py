@@ -63,6 +63,19 @@ def test_solve_mc_refuses_the_spurious_root_m_minus_one():
         solve_mc(complex(-1.05, 1e-300), 0)
 
 
+@pytest.mark.parametrize("z", [1e154, 1.4e154, 1e200])
+def test_solvers_refuse_a_shift_whose_continuation_start_overflows(z, monkeypatch):
+    """2|z|^2 (at 1e154) or |z|^2 (past it) leaves the float range: `MdeConvergenceError` before any Newton step."""
+
+    def no_step(*args):
+        raise AssertionError("Newton step taken")
+
+    monkeypatch.setattr(mde, "_newton_root", no_step)
+    for solve in (lambda: solve_mc(1j, z), lambda: solve_chain(4, 1j, z)):
+        with pytest.raises(MdeConvergenceError, match="continuation start overflows"):
+            solve()
+
+
 def test_solve_chain_stops_at_the_damping_floor():
     with pytest.raises(MdeConvergenceError, match="damping floor reached"):
         solve_chain(2, 5 + 0.01j, 1.0)
@@ -134,6 +147,12 @@ def test_solve_chain_converged_properties():
     assert abs(chain.m[32] - mc) < 1e-2
     # the boundary sites genuinely bend away from the bulk value
     assert abs(chain.m[0] - mc) > 1e-3
+
+
+def test_chain_imag_bound_refuses_an_eta_off_the_open_half_line():
+    for eta in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            chain_imag_bound(0.5, eta)
 
 
 def test_solve_chain_bulk_consistency_improves_with_n():

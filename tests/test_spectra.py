@@ -141,6 +141,10 @@ def test_kolmogorov_same_law_samples():
 def test_radial_cdf_distance_single_atom():
     # one eigenvalue at radius 1/2: the jump leaves a 0.75 gap against r^2
     assert radial_cdf_distance(np.array([0.5])) == pytest.approx(0.75)
+    with pytest.raises(ValueError, match="NaN"):
+        radial_cdf_distance([np.nan, 0.5])
+    with pytest.raises(ValueError, match="at least one eigenvalue"):
+        radial_cdf_distance([])
 
 
 def test_radial_cdf_distance_atoms_at_zero_inside_on_and_outside_the_circle():
@@ -211,11 +215,24 @@ def test_logint_bound_check():
         logint_bound_check(mu, nu, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         logint_bound_check(mu, nu, 0.1, 1.0, 0.5)
+    for beta in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite beta"):
+            logint_bound_check(mu, nu, 0.1, 1.0, beta)
+    # an infinite window end made the bound nan, so identical measures failed it
+    with pytest.raises(ValueError, match="b < inf"):
+        logint_bound_check(mu, mu, 0.1, np.inf, 1.0)
 
 
 def test_empirical_measure_requires_atoms():
     with pytest.raises(ValueError):
         EmpiricalMeasure.from_values([])
+    for values in ([1.0, np.nan], [np.nan]):
+        with pytest.raises(ValueError, match="NaN"):
+            EmpiricalMeasure.from_values(values)
+    # an overflowed squared singular value is +inf, an atom past every finite point
+    inf_atom = EmpiricalMeasure.from_values([np.inf, 1.0])
+    assert np.array_equal(inf_atom.atoms, [1.0, np.inf])
+    assert kolmogorov_distance(inf_atom, _measure([1.0, 2.0])) == 0.5
 
 
 def test_empirical_measure_sorts_atoms():

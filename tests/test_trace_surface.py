@@ -49,6 +49,10 @@ seen = spans_of(lambda: harness.run(config))
 assert [name for name, _ in seen].count("model.to_dense") == 1, seen
 assert seen.count(("numerics.lu_logdet", "harness.run")) == 1, seen
 assert all(parent == "transfer.logdet_via_transfer" for name, parent in seen if name == "numerics.lu_logdet" and parent != "harness.run"), seen
+
+# A plain ensemble's cocycle trace starts from the identity frame: it builds no boundary rows.
+names = [name for name, _ in spans_of(lambda: bt.cocycle_trace(m, 0.5))]
+assert "numerics.qr_thin" in names and "model.build_bordered" not in names, names
 """
 
 
@@ -57,7 +61,8 @@ def test_benchmark_tracer_resolves_every_traced_name():
 
     It also fails when a dense trial stops reaching `model.to_dense` or its
     kernel through the traced names, which would drop that layer from a
-    traced run without an error.
+    traced run without an error, and when a plain ensemble's cocycle trace
+    builds boundary rows it never reads.
     """
     src = str(Path(blocktri.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

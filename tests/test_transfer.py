@@ -80,24 +80,24 @@ def test_apply_transfer_matches_dense_operator():
     u, v = frame[:ell], frame[ell:]
     assert np.linalg.norm(dense[:ell] - np.linalg.solve(b, -((a - z * np.eye(ell)) @ u + c @ v))) < 1e-10
     assert np.linalg.norm(dense[ell:] - u) < 1e-14
-    trace = cocycle_trace(build_bordered(BlockTridiagonal(1, ell, (a,), (b,), (c,)), entry_frame=frame), z)
-    assert abs(trace.increments[0] - 0.5 * np.log(abs(np.linalg.det(dense.conj().T @ dense)))) < 1e-10
+    logs = cocycle_trace(build_bordered(BlockTridiagonal(1, ell, (a,), (b,), (c,)), entry_frame=frame), z)
+    assert abs(logs[1].sum() - 0.5 * np.log(abs(np.linalg.det(dense.conj().T @ dense)))) < 1e-10
 
 
 def test_cocycle_step_isometry_has_zero_increment():
     z = 0.4 + 0.1j
     c = np.exp(0.3j)
     m = _one_row(z, -np.conj(c), c)
-    trace = cocycle_trace(m, z)
-    assert len(trace.increments) == 1
-    assert abs(trace.increments[0]) < 1e-12
-    assert abs(trace.total) < 1e-12
+    logs = cocycle_trace(m, z)
+    assert logs.shape == (2, 1)
+    assert np.all(logs[0] == 0.0)
+    assert abs(logs[1, 0]) < 1e-12
 
 
 def test_cocycle_step_scalar_increment():
     a, b, c, z = 1.1 - 0.3j, 0.8j, 0.5, -0.2
     expected = 0.5 * np.log(abs((a - z) / b) ** 2 + 1.0)
-    assert abs(cocycle_trace(_one_row(a, b, c), z).total - expected) < 1e-12
+    assert abs(cocycle_trace(_one_row(a, b, c), z).sum() - expected) < 1e-12
 
 
 def test_cocycle_step_gram_oracle_and_orthonormality():
@@ -106,22 +106,24 @@ def test_cocycle_step_gram_oracle_and_orthonormality():
     xi = random_entry_frame(ell, rng)
     rows = [tuple(rng.standard_normal((ell, ell)) + 1j * rng.standard_normal((ell, ell)) for _ in range(3)) for _ in range(n)]
     diag, upper, lower = zip(*rows)
-    trace = cocycle_trace(build_bordered(BlockTridiagonal(n, ell, diag, upper, lower), entry_frame=xi), z)
-    assert len(trace.increments) == n
+    logs = cocycle_trace(build_bordered(BlockTridiagonal(n, ell, diag, upper, lower), entry_frame=xi), z)
+    assert logs.shape == (n + 1, ell)
     frame = xi
     for k in range(n):
         y = _one_step(diag[k], upper[k], lower[k], z, frame)
         gram = 0.5 * np.log(np.abs(np.linalg.det(y.conj().T @ y)))
-        assert abs(trace.increments[k] - gram) < 1e-9
+        assert abs(logs[k + 1].sum() - gram) < 1e-9
         frame, _ = qr_thin(y)
         assert np.linalg.norm(frame.conj().T @ frame - np.eye(ell)) < 1e-10
 
 
 def test_cocycle_trace_total_matches_increment_sum():
-    m = sample_tridiagonal(6, 3, LAW, 3)
-    trace = cocycle_trace(m, 0.5)
-    assert len(trace.increments) == 6
-    assert abs(trace.total - sum(trace.increments)) < 1e-9
+    """A plain ensemble's trace: float64 of shape (n + 1, ell), an identity entry row of zeros, and a total that is its steps' sum."""
+    for m in (sample_tridiagonal(6, 3, LAW, 3), LazyTridiagonal(6, 3, LAW, 3)):
+        logs = cocycle_trace(m, 0.5)
+        assert logs.dtype == np.float64 and logs.shape == (7, 3)
+        assert np.all(logs[0] == 0.0)
+        assert abs(logs.sum() - sum(logs[1:].sum(axis=1))) < 1e-9
 
 
 def test_one_factorization_per_row(monkeypatch):
@@ -521,8 +523,8 @@ def test_frame_representative_invariance():
     v1 = projected_growth_log(b1, 0.3)
     v2 = projected_growth_log(b2, 0.3)
     assert abs(v1 - v2) < 1e-9
-    w1 = cocycle_trace(b1, 0.3).total
-    w2 = cocycle_trace(b2, 0.3).total
+    w1 = cocycle_trace(b1, 0.3).sum()
+    w2 = cocycle_trace(b2, 0.3).sum()
     assert abs(w1 - w2) < 1e-9
 
 
@@ -563,7 +565,7 @@ def test_frame_cocycle_matches_wedge_norm():
     for seed in range(5):
         m = sample_tridiagonal(4, ell, LAW, 300 + seed)
         xi = random_entry_frame(ell, rng)
-        total = cocycle_trace(build_bordered(m, entry_frame=xi), 0.5).total
+        total = cocycle_trace(build_bordered(m, entry_frame=xi), 0.5).sum()
         product = np.eye(2 * ell, dtype=complex)
         for k in range(m.n):
             product = dense_transfer_matrix(m.diag[k], m.upper[k], m.lower[k], 0.5) @ product
@@ -583,7 +585,49 @@ def test_bordered_cocycle_matches_wedge_norm(unit_gram_frame):
                     for k in range(n):
                         product = dense_transfer_matrix(m.diag[k], m.upper[k], m.lower[k], z) @ product
                     wedge_vec = wedge_power_small(product, ell) @ plucker_coordinates(b.entry_frame)
-                    assert abs(cocycle_trace(b, z).total - np.log(np.linalg.norm(wedge_vec))) < 1e-8
+                    assert abs(cocycle_trace(b, z).sum() - np.log(np.linalg.norm(wedge_vec))) < 1e-8
+
+
+def test_cocycle_trace_leading_columns_match_every_wedge_power():
+    """logs[:, :j].sum() is the log norm of the j-fold wedge of the product applied to the entry frame's first j columns.
+
+    The oracle applies one step's explicit wedge power at a time and
+    renormalizes the Plücker vector after each, summing the logs of the norms.
+    """
+    rng = np.random.default_rng(15)
+    for kind in ("real-gaussian", "complex-gaussian", "real-uniform"):
+        for n in (1, 3, 6):
+            for ell in (1, 2, 3):
+                m = sample_tridiagonal(n, ell, AtomLaw(kind), 500 + 7 * n + ell)
+                scaled = 2.5 * (rng.standard_normal((2 * ell, ell)) + 1j * rng.standard_normal((2 * ell, ell)))
+                for ensemble, xi in ((m, identity_entry_frame(ell)), (build_bordered(m, entry_frame=scaled), scaled)):
+                    logs = cocycle_trace(ensemble, 0.5 + 0.5j)
+                    for j in range(1, ell + 1):
+                        vec = plucker_coordinates(xi[:, :j])
+                        log_norm = np.log(np.linalg.norm(vec))
+                        vec = vec / np.linalg.norm(vec)
+                        for k in range(n):
+                            vec = wedge_power_small(dense_transfer_matrix(m.diag[k], m.upper[k], m.lower[k], 0.5 + 0.5j), j) @ vec
+                            log_norm += np.log(np.linalg.norm(vec))
+                            vec = vec / np.linalg.norm(vec)
+                        assert _rel_close(logs[:, :j].sum(), log_norm, 1e-12), (kind, n, ell, j)
+
+
+def test_cocycle_trace_of_diagonal_blocks_splits_into_channels():
+    """With diagonal blocks the sweep decouples: column i is the ell = 1 trace of channel i.
+
+    Bit for bit for real blocks. Complex ones agree to a few ulps: with more
+    than one BLAS thread, OpenBLAS's complex LU solve rounds a 3-by-3
+    diagonal system and a 1-by-1 one apart (with one thread they agree).
+    """
+    for kind, tol in (("real-gaussian", 0.0), ("complex-gaussian", 8 * np.finfo(float).eps)):
+        m = sample_tridiagonal(5, 3, AtomLaw(kind), 16)
+        diag, upper, lower = ([np.diag(np.diag(block)) for block in blocks] for blocks in (m.diag, m.upper, m.lower))
+        for z in (0.0, 0.5 + 0.5j, 2.0):
+            logs = cocycle_trace(BlockTridiagonal(5, 3, diag, upper, lower), z)
+            for i in range(3):
+                channel = BlockTridiagonal(5, 1, *([block[i : i + 1, i : i + 1] for block in blocks] for blocks in (diag, upper, lower)))
+                assert np.max(np.abs(logs[:, i] - cocycle_trace(channel, z)[:, 0])) <= tol, (kind, z, i)
 
 
 def test_concentration_identical_streams_zero_variance():
