@@ -9,8 +9,6 @@ from .model import (
     LazyTridiagonal,
     PeriodicEnsemble,
     build_bordered,
-    identity_entry_frame,
-    identity_exit_frame,
     operator_norm_check,
     random_entry_frame,
     random_exit_frame,

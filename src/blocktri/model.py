@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import AtomLaw, SeedScheme, fill_block
-from .numerics import RankDeficientError, SizeCapError, _phase_fixed_qr, qr_thin, svd_values
+from .numerics import RankDeficientError, SizeCapError, _as_array, _phase_fixed_qr, qr_thin, svd_values
 
 DEFAULT_DENSE_CAP = 8192
 
@@ -38,6 +38,10 @@ class BlockTridiagonal:
     diag: tuple
     upper: tuple
     lower: tuple
+
+    def __post_init__(self):
+        if self.n < 1 or self.ell < 1 or any(len(g) != self.n or any(np.shape(b) != (self.ell, self.ell) for b in g) for g in (self.diag, self.upper, self.lower)):
+            raise ValueError("need n >= 1, ell >= 1, and diag, upper and lower each holding n ell-by-ell blocks")
 
     @property
     def size(self) -> int:
@@ -148,16 +152,6 @@ def sample_periodic(n: int, ell: int, law: AtomLaw, seed, trial: int = 0) -> Per
     return PeriodicEnsemble(inner, corner_top, corner_bottom)
 
 
-def identity_entry_frame(ell: int) -> np.ndarray:
-    """The 2ell-by-ell frame stacking the identity over zeros."""
-    return np.vstack([np.eye(ell), np.zeros((ell, ell))]).astype(np.complex128)
-
-
-def identity_exit_frame(ell: int) -> np.ndarray:
-    """The ell-by-2ell frame [I, 0]."""
-    return np.hstack([np.eye(ell), np.zeros((ell, ell))]).astype(np.complex128)
-
-
 def random_entry_frame(ell: int, rng: np.random.Generator) -> np.ndarray:
     """Random 2ell-by-ell frame with orthonormal columns."""
     return qr_thin(rng.standard_normal((2 * ell, ell)) + 1j * rng.standard_normal((2 * ell, ell)))[0]
@@ -177,7 +171,7 @@ def _plain(ensemble) -> BlockTridiagonal | LazyTridiagonal:
 
 
 def _boundary(pi: np.ndarray, xi: np.ndarray) -> tuple[tuple, float]:
-    """((top, bottom) boundary rows, 1/2 log det(pi pi*) + 1/2 log det(xi* xi)) of complex frames.
+    """((top, bottom) boundary rows, 1/2 log det(pi pi*) + 1/2 log det(xi* xi)) of frames in their own dtype.
 
     With the phase-fixed QRs xi = Q R and pi* = Q' R', and its halves swapped
     back, the top row is the adjoint of Q's last ell columns, which annihilates
@@ -196,16 +190,17 @@ def _boundary(pi: np.ndarray, xi: np.ndarray) -> tuple[tuple, float]:
 def build_bordered(inner: BlockTridiagonal | LazyTridiagonal, exit_frame=None, entry_frame=None) -> BorderedEnsemble:
     """Border a plain ensemble by the boundary rows (`_boundary`) of full-rank frames of any scale.
 
-    A missing frame is the identity, and the frames' 1/2 log-Gram sum is
-    stored for `projected_growth_log`. A bordered `inner` or a frame of another
-    ell raises `ValueError`, any other ensemble `TypeError`, a rank-deficient
-    frame `RankDeficientError` and a NaN one `SingularMatrixError`.
+    A missing frame is the identity. Each frame keeps its dtype (`_as_array`),
+    so `_realization` types the bordered matrix as any other. The frames' 1/2
+    log-Gram sum is stored for `projected_growth_log`. A bordered `inner` or a
+    frame of another ell raises `ValueError`, any other ensemble `TypeError`, a
+    rank-deficient frame `RankDeficientError` and a NaN one `SingularMatrixError`.
     """
     if _plain(inner) is not inner:
         raise ValueError("bordered ensembles carry their own frames")
     ell = inner.ell
-    pi = np.asarray(identity_exit_frame(ell) if exit_frame is None else exit_frame, dtype=np.complex128)
-    xi = np.asarray(identity_entry_frame(ell) if entry_frame is None else entry_frame, dtype=np.complex128)
+    pi = _as_array(np.eye(ell, 2 * ell) if exit_frame is None else exit_frame)
+    xi = _as_array(np.eye(2 * ell, ell) if entry_frame is None else entry_frame)
     if pi.shape != (ell, 2 * ell) or xi.shape != (2 * ell, ell):
         raise ValueError("frame shapes must be (ell, 2ell) and (2ell, ell)")
     rows, half_log_grams = _boundary(pi, xi)

@@ -13,16 +13,18 @@ from .numerics import EIGVALS_CAP, eigvals, svd_values
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Equal-weight atoms, sorted ascending; +inf atoms are kept, NaN ones refused."""
+    """Equal-weight atoms, a nonempty 1-D array sorted ascending; +inf atoms are kept, NaN ones refused."""
 
     atoms: np.ndarray
 
+    def __post_init__(self):
+        a = self.atoms
+        if not (isinstance(a, np.ndarray) and a.ndim == 1 and a.size) or np.isnan(a).any() or (a[1:] < a[:-1]).any():
+            raise ValueError("empirical measure needs a nonempty, 1-D, ascending array of atoms, and no NaN one")
+
     @classmethod
     def from_values(cls, values) -> "EmpiricalMeasure":
-        a = np.sort(np.asarray(values, dtype=np.float64).ravel())
-        if a.size == 0 or np.isnan(a[-1]):  # sorting puts NaN last
-            raise ValueError("empirical measure needs at least one atom, and no NaN one")
-        return cls(a)
+        return cls(np.sort(np.asarray(values, dtype=np.float64).ravel()))
 
     @property
     def count(self) -> int:

@@ -44,7 +44,7 @@ import itertools
 
 import numpy as np
 
-from .model import _block_rows, _plain, _realization, identity_entry_frame
+from .model import _block_rows, _plain, _realization
 from .numerics import SizeCapError, _check_info, _log_magnitude, get_lapack_funcs, pivot_log_magnitude, qr_thin, solve_lu
 
 # Rows whose pivot magnitudes are gathered before their logs are summed: at
@@ -108,7 +108,7 @@ def dense_transfer_matrix(diag_block, upper_block, lower_block, z: complex) -> n
     """Explicit 2ell-by-2ell one-step operator, used as a small-size oracle."""
     a = np.asarray(diag_block, dtype=np.complex128)
     ell = a.shape[0]
-    top = solve_lu(upper_block, -np.hstack([a - z * np.eye(ell), np.asarray(lower_block, dtype=np.complex128)]))
+    top = solve_lu(upper_block, -np.hstack([a - np.diag(np.full(ell, complex(z))), np.asarray(lower_block, dtype=np.complex128)]))
     bottom = np.hstack([np.eye(ell), np.zeros((ell, ell))])
     return np.vstack([top, bottom])
 
@@ -123,13 +123,14 @@ def cocycle_trace(model, z: complex) -> np.ndarray:
     """
     plain = _plain(model)
     ell = plain.ell
-    frame, r = qr_thin(identity_entry_frame(ell) if plain is model else model.entry_frame)
+    frame, r = qr_thin(np.asarray(np.eye(2 * ell, ell) if plain is model else model.entry_frame, dtype=np.complex128))
     (gemm,) = get_lapack_funcs(("gemm",), dtype=np.complex128)
+    shift = np.diag(np.full(ell, complex(z)))  # z on the diagonal only: an infinite z puts no NaN off it
     logs = np.empty((plain.n + 1, ell))
     logs[0] = np.log(np.diagonal(r).real)
     for k, (a, b, c) in enumerate(plain.rows(), 1):
         u, v = frame[:ell], frame[ell:]
-        top = solve_lu(b, gemm(-1.0, a - z * np.eye(ell), u, beta=-1.0, c=gemm(1.0, c, v)))
+        top = solve_lu(b, gemm(-1.0, a - shift, u, beta=-1.0, c=gemm(1.0, c, v)))
         frame, r = qr_thin(np.vstack([top, u]))
         logs[k] = np.log(np.diagonal(r).real)
     return logs

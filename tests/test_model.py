@@ -8,8 +8,6 @@ from blocktri.model import (
     LazyTridiagonal,
     PeriodicEnsemble,
     build_bordered,
-    identity_entry_frame,
-    identity_exit_frame,
     operator_norm_check,
     random_entry_frame,
     random_exit_frame,
@@ -34,6 +32,18 @@ def test_sample_shapes_and_size():
     assert all(b.shape == (3, 3) for b in m.diag)
     one = sample_tridiagonal(1, 1, LAW, 1)
     assert to_dense(one, 0.0).shape == (1, 1)
+
+
+def test_block_tridiagonal_refuses_blocks_that_do_not_fit_n_and_ell():
+    """Too few or too many rows, a block of another size, or n or ell below 1 raise `ValueError` instead of a sweep over what is there."""
+    m = sample_tridiagonal(3, 2, LAW, 1)
+    full = m.diag, m.upper, m.lower
+    short = tuple(g[:2] for g in full)
+    wide = (m.diag, (*m.upper[:2], np.zeros((2, 3))), m.lower)
+    empty = ((np.zeros((0, 0)),),) * 3
+    for n, ell, blocks in ((3, 2, short), (2, 2, full), (3, 1, full), (3, 2, wide), (0, 2, ((), (), ())), (1, 0, empty)):
+        with pytest.raises(ValueError, match="n ell-by-ell blocks"):
+            BlockTridiagonal(n, ell, *blocks)
 
 
 def test_dense_sparsity_pattern():
@@ -64,7 +74,7 @@ def test_frobenius_normalization():
 
 def test_bordered_shift_convention():
     m = sample_tridiagonal(1, 1, LAW, 5)
-    b = build_bordered(m, identity_exit_frame(1), identity_entry_frame(1))
+    b = build_bordered(m, np.eye(1, 2), np.eye(2, 1))
     d0 = to_dense(b, 0.0)
     d1 = to_dense(b, 1.0)
     diff = d1 - d0
@@ -111,7 +121,7 @@ def test_build_bordered_row_unitarity_and_frames(unit_gram_frame):
 def test_build_bordered_identity_frames():
     ell = 3
     m = sample_tridiagonal(2, ell, LAW, 9)
-    b = build_bordered(m, identity_exit_frame(ell), identity_entry_frame(ell))
+    b = build_bordered(m, np.eye(ell, 2 * ell), np.eye(2 * ell, ell))
     # bottom row becomes [0, I]; the top row is supported on its first half,
     # with a unitary factor standing in for the sign convention
     assert np.linalg.norm(b.bottom_row[:, :ell]) < 1e-12
@@ -148,26 +158,26 @@ def test_build_bordered_rejects_bad_frames():
     """Rank-deficient and NaN frames are refused; a frame of any scale is taken, its 1/2 log-Gram stored."""
     m = sample_tridiagonal(2, 2, LAW, 13)
     # det(pi pi*) = 16: 1/2 log of it is log 4.
-    assert build_bordered(m, 2.0 * identity_exit_frame(2), identity_entry_frame(2)).half_log_grams == pytest.approx(np.log(4.0))
+    assert build_bordered(m, 2.0 * np.eye(2, 4), np.eye(4, 2)).half_log_grams == pytest.approx(np.log(4.0))
     xi_singular = np.zeros((4, 2), dtype=complex)
     xi_singular[0, 0] = 1.0
     xi_singular[1, 1] = 0.0
     # The cause qr_thin reports, also a SingularMatrixError.
     with pytest.raises(RankDeficientError) as raised:
-        build_bordered(m, identity_exit_frame(2), xi_singular)
+        build_bordered(m, np.eye(2, 4), xi_singular)
     assert isinstance(raised.value, SingularMatrixError)
     # det(pi pi*) = 2 and det(xi* xi) = 1/2: the two halves cancel.
-    scaled = build_bordered(m, 2.0 ** (1 / 4) * identity_exit_frame(2), 2.0 ** (-1 / 4) * identity_entry_frame(2))
+    scaled = build_bordered(m, 2.0 ** (1 / 4) * np.eye(2, 4), 2.0 ** (-1 / 4) * np.eye(4, 2))
     assert scaled.half_log_grams == pytest.approx(0.0, abs=1e-15)
     # A Gram determinant that overflows is summed in log space; a NaN frame is refused.
-    huge = build_bordered(m, 1e200 * identity_exit_frame(2), identity_entry_frame(2))
+    huge = build_bordered(m, 1e200 * np.eye(2, 4), np.eye(4, 2))
     assert huge.half_log_grams == pytest.approx(2 * np.log(1e200))
     with pytest.raises(SingularMatrixError):
-        build_bordered(m, identity_exit_frame(2), np.full((4, 2), np.nan, dtype=complex))
+        build_bordered(m, np.eye(2, 4), np.full((4, 2), np.nan, dtype=complex))
 
 
 def test_build_bordered_refuses_ensembles_that_are_not_plain():
-    frames = identity_exit_frame(3), identity_entry_frame(3)
+    frames = np.eye(3, 6), np.eye(6, 3)
     with pytest.raises(TypeError, match="PeriodicEnsemble"):
         build_bordered(sample_periodic(4, 3, LAW, 1), *frames)
     with pytest.raises(ValueError, match="carry their own frames"):
@@ -181,7 +191,7 @@ def test_operator_norm_check():
     assert operator_norm_check(b)
 
     zero = _zero_model(4, 2)
-    bz = build_bordered(zero, identity_exit_frame(2), identity_entry_frame(2))
+    bz = build_bordered(zero, np.eye(2, 4), np.eye(4, 2))
     assert operator_norm_check(bz)
     assert svd_values(to_dense(bz, 0.0))[0] <= 2.0
 

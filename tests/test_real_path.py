@@ -9,6 +9,7 @@ against the same computation on the matrix cast to complex128.
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,8 +27,8 @@ from blocktri.model import (
     to_dense,
 )
 from blocktri.numerics import lu_logdet, svd_values
-from blocktri.spectra import esd
-from blocktri.transfer import logdet_via_transfer
+from blocktri.spectra import esd, least_singular_value
+from blocktri.transfer import cocycle_trace, logdet_via_transfer, projected_growth_log
 
 REAL_KINDS = tuple(k for k in ATOM_KINDS if not AtomLaw(k).is_complex)
 SHIFTS = (0.0, 2.0, -0.7, 0.5 + 0.5j, 1j)
@@ -136,3 +137,25 @@ def test_dense_and_sweep_share_one_dtype_rule(monkeypatch):
         dense = to_dense(m, 0.5)
         assert swept == [dtype] and dense.dtype == dtype
         assert _rel_close(value, lu_logdet(dense), 1e-12)
+
+
+@pytest.mark.parametrize("kind", REAL_KINDS)
+@pytest.mark.parametrize(("n", "ell", "seed"), [(1, 1, 3), (4, 3, 4), (6, 5, 5)])
+def test_real_frames_keep_a_bordered_matrix_real(kind, n, ell, seed):
+    """Real frames, the default identity ones or random ones of any scale, border in float64 and agree with their complex cast."""
+    m = sample_tridiagonal(n, ell, AtomLaw(kind), seed)
+    rng = np.random.default_rng(seed)
+    identity = np.eye(ell, 2 * ell), np.eye(2 * ell, ell)
+    scattered = rng.standard_normal((ell, 2 * ell)), rng.standard_normal((2 * ell, ell))
+    for bordered, frames in ((build_bordered(m), identity), (build_bordered(m, *scattered), scattered)):
+        cast = build_bordered(m, *(f.astype(np.complex128) for f in frames))
+        assert bordered.top_row.dtype == bordered.bottom_row.dtype == np.float64
+        assert cast.top_row.dtype == cast.bottom_row.dtype == np.complex128
+        for z in (0.0, 0.5, 2.0):
+            assert to_dense(bordered, z).dtype == np.float64
+            for kernel in (logdet_via_transfer, projected_growth_log, least_singular_value, lambda e, z: cocycle_trace(e, z).sum()):
+                assert _rel_close(kernel(bordered, z), kernel(cast, z), 1e-12)
+
+    complex_frames = build_bordered(m, random_exit_frame(ell, rng), random_entry_frame(ell, rng))
+    assert complex_frames.top_row.dtype == complex_frames.bottom_row.dtype == np.complex128
+    assert to_dense(complex_frames, 0.5).dtype == np.complex128

@@ -6,8 +6,6 @@ from blocktri.harness import ConfigError, ExperimentConfig, run
 from blocktri.model import (
     BlockTridiagonal,
     build_bordered,
-    identity_entry_frame,
-    identity_exit_frame,
     sample_tridiagonal,
     to_dense,
 )
@@ -55,7 +53,7 @@ def test_singular_values_tie_to_logdet():
 
 def test_least_singular_value():
     zero = _zero_model(3, 2)
-    b = build_bordered(zero, identity_exit_frame(2), identity_entry_frame(2))
+    b = build_bordered(zero, np.eye(2, 4), np.eye(4, 2))
     assert least_singular_value(b, 0.0) >= 0.0
     model = sample_tridiagonal(3, 2, LAW, 2)
     direct = svd_values(to_dense(model, 0.3))[-1]
@@ -229,6 +227,11 @@ def test_empirical_measure_requires_atoms():
     for values in ([1.0, np.nan], [np.nan]):
         with pytest.raises(ValueError, match="NaN"):
             EmpiricalMeasure.from_values(values)
+    for atoms in (np.array([3.0, 1.0, 2.0]), np.array([]), np.array([[1.0, 2.0]]), np.array([1.0, np.nan]), [1.0, 2.0]):
+        with pytest.raises(ValueError, match="ascending"):
+            EmpiricalMeasure(atoms)
+    # an unsorted measure used to count 3 atoms at or below 2.0
+    assert rigidity_count(EmpiricalMeasure(np.array([1.0, 2.0, 3.0])), 2.0) == 2
     # an overflowed squared singular value is +inf, an atom past every finite point
     inf_atom = EmpiricalMeasure.from_values([np.inf, 1.0])
     assert np.array_equal(inf_atom.atoms, [1.0, np.inf])

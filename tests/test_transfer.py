@@ -14,8 +14,6 @@ from blocktri.model import (
     BlockTridiagonal,
     LazyTridiagonal,
     build_bordered,
-    identity_entry_frame,
-    identity_exit_frame,
     random_entry_frame,
     random_exit_frame,
     sample_periodic,
@@ -304,9 +302,24 @@ def test_exactly_singular_shift_reads_minus_inf_without_a_warning():
         warnings.simplefilter("error")
         for shift in (z, complex(z)):
             assert logdet_via_transfer(singular, shift) == -np.inf
-            assert logdet_via_transfer(build_bordered(singular, identity_exit_frame(3), identity_entry_frame(3)), shift) == -np.inf
+            assert logdet_via_transfer(build_bordered(singular, np.eye(3, 6), np.eye(6, 3)), shift) == -np.inf
     with pytest.raises(SingularMatrixError):
         projected_growth_log(singular, z)
+
+
+def test_cocycle_trace_at_an_infinite_shift_raises_without_a_warning():
+    """Like the block LU, the cocycle raises `SingularMatrixError` at z = inf or inf*i, with no RuntimeWarning first.
+
+    The explicit one-step operator shifts the same way: its block -B^{-1}(A - z) is not finite, and nothing warns.
+    """
+    m = sample_tridiagonal(3, 2, LAW, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (complex(np.inf, 0.0), complex(0.0, np.inf)):
+            for kernel in (cocycle_trace, logdet_via_transfer, projected_growth_log):
+                with pytest.raises(SingularMatrixError):
+                    kernel(m, z)
+            assert not np.isfinite(dense_transfer_matrix(m.diag[0], m.upper[0], m.lower[0], z)[:2, :2]).any()
 
 
 def test_nan_block_raises():
@@ -489,7 +502,7 @@ def test_sweeps_refuse_a_periodic_ensemble():
     for sweep in (
         lambda: logdet_via_transfer(periodic, 0.5),
         lambda: projected_growth_log(periodic, 0.5),
-        lambda: build_bordered(periodic, identity_exit_frame(3)),
+        lambda: build_bordered(periodic, np.eye(3, 6)),
         lambda: cocycle_trace(periodic, 0.5),
     ):
         with pytest.raises(TypeError, match="PeriodicEnsemble"):
@@ -506,11 +519,11 @@ def test_explicit_frames_of_another_ell_raise_before_any_block_is_drawn(monkeypa
     fill_block = model.fill_block
     monkeypatch.setattr(model, "fill_block", counting_fill_block)
     lazy = LazyTridiagonal(4, 3, LAW, 1)
-    for frames in ({"exit_frame": identity_exit_frame(2)}, {"entry_frame": identity_entry_frame(2)}, {"exit_frame": identity_exit_frame(2), "entry_frame": identity_entry_frame(2)}):
+    for frames in ({"exit_frame": np.eye(2, 4)}, {"entry_frame": np.eye(4, 2)}, {"exit_frame": np.eye(2, 4), "entry_frame": np.eye(4, 2)}):
         with pytest.raises(ValueError, match="frame shapes"):
             build_bordered(lazy, **frames)
         assert drawn == []
-    projected_growth_log(build_bordered(lazy, identity_exit_frame(3)), 0.5)
+    projected_growth_log(build_bordered(lazy, np.eye(3, 6)), 0.5)
     assert len(drawn) == 3 * 4
 
 
@@ -600,7 +613,7 @@ def test_cocycle_trace_leading_columns_match_every_wedge_power():
             for ell in (1, 2, 3):
                 m = sample_tridiagonal(n, ell, AtomLaw(kind), 500 + 7 * n + ell)
                 scaled = 2.5 * (rng.standard_normal((2 * ell, ell)) + 1j * rng.standard_normal((2 * ell, ell)))
-                for ensemble, xi in ((m, identity_entry_frame(ell)), (build_bordered(m, entry_frame=scaled), scaled)):
+                for ensemble, xi in ((m, np.eye(2 * ell, ell)), (build_bordered(m, entry_frame=scaled), scaled)):
                     logs = cocycle_trace(ensemble, 0.5 + 0.5j)
                     for j in range(1, ell + 1):
                         vec = plucker_coordinates(xi[:, :j])
